@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.common import LocalOutput, assemble_output
-from repro.core.plan import ContractionPlan
-from repro.core.profile import RunProfile
 from repro.datasets import make_case
 from repro.parallel import parallel_sparta
 

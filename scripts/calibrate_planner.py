@@ -260,11 +260,20 @@ def _measure_serial() -> Tuple[List[dict], Dict[str, int]]:
             )
             return res, time.perf_counter() - t0
 
+        def sort_x():
+            # stage 1's X sort, timed alone: it separates the sort unit
+            # from the HtY build sharing the stage-1 timer
+            t0 = time.perf_counter()
+            case.x.permute(plan.x_mode_order()).sort()
+            return None, time.perf_counter() - t0
+
         res, _ = _best_of(run)
+        _, sort_x_seconds = _best_of(sort_x)
         rows.append({
             "label": label,
             "stats": stats,
             "accumulator": predicted_accumulator(stats),
+            "sort_x_seconds": sort_x_seconds,
             "stage_seconds": {
                 s.value: res.profile.stage_seconds.get(s, 0.0)
                 for s in Stage
@@ -285,9 +294,13 @@ def _fit_serial(rows: List[dict],
     s4 = Stage.WRITEBACK.value
     s5 = Stage.OUTPUT_SORTING.value
     coeff["sort_unit"] = _median_ratio(
-        [(r["stage_seconds"][s5], r["stats"].sort_z_units)
-         for r in rows],
+        [(r["sort_x_seconds"], r["stats"].sort_x_units) for r in rows],
         coeff["sort_unit"],
+    )
+    # serial stage 5 is the one-run merge (a presorted check + concat)
+    coeff["merge_unit"] = _median_ratio(
+        [(r["stage_seconds"][s5], r["stats"].est_created) for r in rows],
+        coeff["merge_unit"],
     )
     coeff["hty_build"] = _median_ratio(
         [(max(r["stage_seconds"][s1]
@@ -319,7 +332,7 @@ def _fit_serial(rows: List[dict],
 
 def _measure_parallel(coeff: Dict[str, float],
                       info: Dict[str, float]) -> None:
-    """Fit pool overheads, efficiencies and the merge coefficient.
+    """Fit pool overheads and the parallel efficiencies.
 
     Overheads come from tiny near-zero-work runs (wall minus the serial
     wall of the same inputs, solved across two worker counts). The
@@ -347,7 +360,7 @@ def _measure_parallel(coeff: Dict[str, float],
                 t0 = time.perf_counter()
                 parallel_sparta(
                     tiny_x, tiny_y, (2,), (0,), threads=w,
-                    backend=backend, planner="off",
+                    backend=backend,
                 )
                 return None, time.perf_counter() - t0
 
@@ -386,7 +399,7 @@ def _measure_parallel(coeff: Dict[str, float],
                 t0 = time.perf_counter()
                 parallel_sparta(
                     case.x, case.y, case.cx, case.cy,
-                    threads=workers, backend=backend, planner="off",
+                    threads=workers, backend=backend,
                 )
                 return None, time.perf_counter() - t0
 
@@ -434,38 +447,18 @@ def _measure_parallel(coeff: Dict[str, float],
                 mismatches += 1
         return 1e3 * mismatches + err
 
-    # thread efficiency and the merge coefficient interact (the
-    # merge-vs-sort stage-5 discount is efficiency-independent), so
-    # they are fitted jointly; process reuses the fitted merge_unit.
-    merge_grid = [
-        coeff["sort_unit"] * m
-        for m in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-    ]
-    best = None
-    for merge_unit in merge_grid:
+    for backend in ("thread", "process"):
+        best = None
         for step in range(1, 31):
             trial = dict(coeff)
-            trial["merge_unit"] = merge_unit
-            trial["thread_efficiency"] = step / 50.0
-            penalty = score("thread", trial)
+            trial[f"{backend}_efficiency"] = step / 50.0
+            penalty = score(backend, trial)
             if best is None or penalty < best[0]:
-                best = (penalty, trial["thread_efficiency"], merge_unit)
-    _, coeff["thread_efficiency"], coeff["merge_unit"] = best
-    info["thread_fit_penalty"] = float(best[0])
-    print(f"  thread efficiency -> {coeff['thread_efficiency']:.2f}, "
-          f"merge_unit -> {coeff['merge_unit']:.3g} "
-          f"(penalty {best[0]:.3f})")
-    best = None
-    for step in range(1, 31):
-        trial = dict(coeff)
-        trial["process_efficiency"] = step / 50.0
-        penalty = score("process", trial)
-        if best is None or penalty < best[0]:
-            best = (penalty, trial["process_efficiency"])
-    coeff["process_efficiency"] = best[1]
-    info["process_fit_penalty"] = float(best[0])
-    print(f"  process efficiency -> {coeff['process_efficiency']:.2f} "
-          f"(penalty {best[0]:.3f})")
+                best = (penalty, trial[f"{backend}_efficiency"])
+        coeff[f"{backend}_efficiency"] = best[1]
+        info[f"{backend}_fit_penalty"] = float(best[0])
+        print(f"  {backend} efficiency -> {best[1]:.2f} "
+              f"(penalty {best[0]:.3f})")
 
 
 def fit(write: bool) -> int:

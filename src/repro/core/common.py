@@ -1,16 +1,16 @@
 """Shared machinery of the three paper engines.
 
-All of SpTC-SPA, COOY+HtA and Sparta share stage 1 (input processing of X),
-the sub-tensor outer loop structure, stage 4's Z_local layout and stage 5
-(output sorting). This module implements those pieces once, plus the
-traffic accounting that feeds the heterogeneous-memory simulator.
+All of SpTC-SPA, COOY+HtA and Sparta share stage 1 (input processing of X,
+and of Y for the COO engines) and the sub-tensor outer loop structure.
+This module implements those pieces once, plus the traffic accounting
+constants that feed the heterogeneous-memory simulator; stages 2-5 live
+in :mod:`repro.core.kernels` and :mod:`repro.core.pipeline`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from repro.core.profile import (
 from repro.core.stages import Stage
 from repro.errors import ShapeError
 from repro.tensor.coo import SparseTensor
-from repro.tensor.linearize import delinearize, linearize
-from repro.types import INDEX_DTYPE, VALUE_DTYPE
+from repro.tensor.linearize import linearize
 
 #: bytes per COO non-zero of an order-N tensor (N int64 indices + 1 float64)
 def coo_row_bytes(order: int) -> int:
@@ -267,87 +266,3 @@ def prepare_y_sorted(
         free_dims=tuple(plan.fy_dims),
         contract_dims=tuple(plan.contract_dims),
     )
-
-
-class LocalOutput:
-    """Z_local — a thread-local dynamic output buffer (paper §3.5).
-
-    Collects per-sub-tensor writeback results as (free-X row, LN free-Y
-    keys, values) triples; :func:`assemble_output` gathers all locals
-    into Z.
-    """
-
-    def __init__(self) -> None:
-        self.fx_rows: List[np.ndarray] = []
-        self.fy_keys: List[np.ndarray] = []
-        self.values: List[np.ndarray] = []
-        self.nnz = 0
-
-    def append(
-        self, fx_row: np.ndarray, fy_keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Write back one sub-tensor's accumulator contents."""
-        if fy_keys.shape[0] == 0:
-            return
-        self.fx_rows.append(fx_row)
-        self.fy_keys.append(fy_keys)
-        self.values.append(values)
-        self.nnz += int(fy_keys.shape[0])
-
-    def nbytes(self, nfx: int) -> int:
-        """Approximate bytes held (per-entry fx row + fy key + value)."""
-        return self.nnz * (8 * nfx + 8 + 8)
-
-
-def assemble_output(
-    locals_: List[LocalOutput],
-    plan: ContractionPlan,
-    profile: RunProfile,
-    *,
-    sort_output: bool,
-) -> SparseTensor:
-    """Stages 4-5 tail: gather Z_locals into Z, then sort (stage 5).
-
-    Mirrors Algorithm 2 line 17: sizes are known only after the locals are
-    complete, then all locals are copied out in one pass.
-    """
-    out_shape = plan.out_shape
-    nfx = len(plan.fx)
-    total = sum(loc.nnz for loc in locals_)
-    indices = np.empty((total, plan.out_order), dtype=INDEX_DTYPE)
-    values = np.empty(total, dtype=VALUE_DTYPE)
-    pos = 0
-    for loc in locals_:
-        for fx_row, fy_keys, vals in zip(loc.fx_rows, loc.fy_keys, loc.values):
-            n = fy_keys.shape[0]
-            indices[pos : pos + n, :nfx] = fx_row
-            indices[pos : pos + n, nfx:] = delinearize(fy_keys, plan.fy_dims)
-            values[pos : pos + n] = vals
-            pos += n
-    z = SparseTensor(indices, values, out_shape, copy=False, validate=False)
-
-    rowb = coo_row_bytes(plan.out_order)
-    profile.bump("nnz_z", total)
-    profile.note_object_bytes(DataObject.Z, total * rowb)
-    zl_bytes = max((loc.nbytes(nfx) for loc in locals_), default=0)
-    profile.note_object_bytes(DataObject.Z_LOCAL, zl_bytes)
-    profile.record_traffic(
-        DataObject.Z_LOCAL, Stage.WRITEBACK, AccessKind.READ,
-        AccessPattern.SEQUENTIAL, total * rowb,
-    )
-    profile.record_traffic(
-        DataObject.Z, Stage.WRITEBACK, AccessKind.WRITE,
-        AccessPattern.SEQUENTIAL, total * rowb,
-    )
-    if sort_output:
-        z = z.sort()
-        sort_bytes = int(total * rowb * _sort_passes(total))
-        profile.record_traffic(
-            DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.READ,
-            AccessPattern.RANDOM, sort_bytes,
-        )
-        profile.record_traffic(
-            DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.WRITE,
-            AccessPattern.RANDOM, sort_bytes,
-        )
-    return z

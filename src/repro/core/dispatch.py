@@ -13,6 +13,14 @@
                 ``backend="thread"`` or ``"process"`` (shared-memory
                 worker processes; measures real multi-core scaling)
 ========== =============================================================
+
+The sparta family (``sparta``, ``coo_hta``, ``spa``, ``parallel``, and
+``sparta`` under a ``memory_budget``) reaches one five-stage pipeline,
+:func:`repro.core.pipeline.run_pipeline`: serial runs are one inline
+worker, ``parallel`` swaps in the thread or process chunk runner, and a
+budget that does not fit sends chunk outputs to run files. Explicit
+configurations run exactly as requested; ``plan="auto"`` is the only
+planner (:mod:`repro.planner`) and may only choose among them.
 """
 
 from __future__ import annotations
@@ -165,7 +173,6 @@ def _contract_auto(
             parallel_stage1=chosen.parallel_stage1,
             merge_output=chosen.merge_output,
             sort_output=sort_output,
-            planner="off",
             tracer=tracer,
             memory_budget=memory_budget,
             spill_root=spill_root,

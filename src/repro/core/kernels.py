@@ -378,7 +378,7 @@ def assemble_fused(
     codegen: Optional[bool] = None,
     kernel_cache: Optional[KernelCache] = None,
 ) -> SparseTensor:
-    """Vectorized stage-4 writeback with `assemble_output`'s accounting.
+    """Vectorized stage-4 writeback: Z from the gathered runs, and its traffic.
 
     ``zlocal_peak_bytes`` overrides the recorded Z_local object size for
     callers whose locals are per-thread (parallel executor); the default

@@ -1,4 +1,4 @@
-"""The five-stage looped SpTC driver behind the three paper engines.
+"""The per-sub-tensor reference loops behind the three paper engines.
 
 Algorithm 1 (SpTC-SPA) and Algorithm 2 (Sparta) share their loop nest; the
 engines differ only in
@@ -6,12 +6,14 @@ engines differ only in
 * how Y is searched — linear scan over sorted COO vs. HtY hash lookup;
 * how partial products accumulate — SPA linear search vs. HtA hashing.
 
-This module implements the common driver once, parameterised on those two
-choices, and charges per-stage time, operation counts and Table-2 traffic.
-The default ``"subtensor"`` granularity executes stages 2-4 through the
-fused flat-batch kernel (:mod:`repro.core.kernels`); ``"subtensor_loop"``
-keeps the historical one-Python-iteration-per-sub-tensor driver for
-comparison, and ``"element"`` is the per-non-zero semantic reference.
+:func:`looped_contract` selects an engine configuration from those two
+choices. The default ``"subtensor"`` granularity runs it through the
+five-stage pipeline (:func:`repro.core.pipeline.run_pipeline`), whose
+stages 2-4 are the fused flat-batch kernel. This module keeps the two
+loop-nest references: ``"element"`` is the per-non-zero semantic
+reference and ``"subtensor_loop"`` the historical
+one-Python-iteration-per-sub-tensor loop kept for fused-vs-loop
+benchmarking. They share stage 1 and stage 5 with the pipeline.
 """
 
 from __future__ import annotations
@@ -21,30 +23,16 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from repro.core.common import (
-    LocalOutput,
-    _sort_passes,
-    assemble_output,
-    coo_row_bytes,
-    expand_ranges,
-    prepare_x,
-    prepare_y_sorted,
-)
+from repro.core.common import expand_ranges, prepare_x, prepare_y_sorted
 from repro.core.htycache import HtYCache, cached_plan
 from repro.core.kernels import (
     HTA_CACHE_HIT,
-    assemble_fused,
-    fused_compute,
-    hta_model_nbytes,
+    FusedRange,
     record_computation_traffic,
     record_hty_build,
 )
-from repro.core.profile import (
-    AccessKind,
-    AccessPattern,
-    DataObject,
-    RunProfile,
-)
+from repro.core.pipeline import finish_output, run_pipeline
+from repro.core.profile import RunProfile
 from repro.core.result import ContractionResult
 from repro.core.stages import Stage
 from repro.errors import ContractionError
@@ -81,16 +69,17 @@ def looped_contract(
     workspace_cap: Optional[int] = None,
     tracer: Optional[Tracer] = None,
 ) -> ContractionResult:
-    """Run one SpTC through the shared five-stage loop nest.
+    """Run one SpTC with the given Y structure and accumulator.
 
     ``granularity`` chooses how the inner stages are driven:
 
+    * ``"subtensor"`` — the five-stage pipeline with the fused flat-batch
+      kernel: one batched search over every contract key and one
+      segmented accumulation over every partial product (the
+      measurement path; the paper's C loops run at this cost level);
     * ``"element"`` — one Python iteration per X non-zero, exactly
-      Algorithm 1/2's loop nest (used by semantics tests);
-    * ``"subtensor"`` — the fused flat-batch kernel: one batched search
-      over every contract key and one segmented accumulation over every
-      partial product (the measurement path; the paper's C loops run at
-      this cost level). Output is identical to ``"element"``;
+      Algorithm 1/2's loop nest (used by semantics tests). Output is
+      identical to ``"subtensor"``;
     * ``"subtensor_loop"`` — the historical one-batched-step-per-sub-
       tensor Python loop, kept for fused-vs-loop benchmarking.
 
@@ -105,7 +94,23 @@ def looped_contract(
     :func:`repro.core.kernels.fused_compute`); they never change
     results, only wall time.
     """
-    if granularity not in ("element", "subtensor", "subtensor_loop"):
+    if granularity == "subtensor":
+        return run_pipeline(
+            x, y, cx, cy,
+            engine_name=engine_name,
+            y_structure=y_structure,
+            accumulator=accumulator,
+            sort_output=sort_output,
+            num_buckets=num_buckets,
+            accumulator_buckets=accumulator_buckets,
+            x_format=x_format,
+            hty_cache=hty_cache,
+            codegen=codegen,
+            dense_threshold=dense_threshold,
+            workspace_cap=workspace_cap,
+            tracer=tracer,
+        ).result
+    if granularity not in ("element", "subtensor_loop"):
         raise ContractionError(
             f"unknown granularity {granularity!r}; choose 'element', "
             "'subtensor' or 'subtensor_loop'"
@@ -119,11 +124,11 @@ def looped_contract(
     # ---------------- stage 1: input processing ----------------------
     t0 = clock()
     px = prepare_x(x, plan, profile, x_format=x_format)
-    hty_probes0 = 0
+    hty = sy = None
     if y_structure in ("coo", "coo_bsearch"):
         sy = prepare_y_sorted(y, plan, profile)
-        hty = None
     else:
+        hit = False
         if hty_cache is not None:
             hty, hit = hty_cache.get_or_build(
                 y, plan.cy, num_buckets=num_buckets
@@ -131,11 +136,7 @@ def looped_contract(
             if not hit:
                 profile.bump("hty_cache_misses")
         else:
-            hty, hit = (
-                HashTensor.from_coo(y, plan.cy, num_buckets=num_buckets),
-                False,
-            )
-        sy = None
+            hty = HashTensor.from_coo(y, plan.cy, num_buckets=num_buckets)
         record_hty_build(y, hty, profile, cached=hit)
         # A cached HtY arrives with probe counts from earlier runs;
         # charge only this contraction's chain walks.
@@ -143,69 +144,30 @@ def looped_contract(
     t1 = clock()
     profile.add_time(Stage.INPUT_PROCESSING, t1 - t0)
     tr.add_span(Stage.INPUT_PROCESSING.value, start=t0, end=t1)
-
     profile.bump("num_subtensors", px.num_subtensors)
 
     # ---------------- stages 2-4: computation ------------------------
-    tc0 = clock()
-    if granularity == "subtensor":
-        z, products, hta_peak_bytes = _fused_stages(
-            px,
-            sy if sy is not None else hty,
-            plan,
-            profile,
-            y_structure=y_structure,
-            accumulator=accumulator,
-            accumulator_buckets=accumulator_buckets,
-            codegen=codegen,
-            dense_threshold=dense_threshold,
-            workspace_cap=workspace_cap,
-            clock=clock,
-        )
-    else:
-        z, products, hta_peak_bytes = _loop_stages(
-            px,
-            sy,
-            hty,
-            plan,
-            profile,
-            y_structure=y_structure,
-            accumulator=accumulator,
-            accumulator_buckets=accumulator_buckets,
-            granularity=granularity,
-            clock=clock,
-        )
-    created = z.nnz
-    if tr.enabled:
-        # Search/accumulation/writeback interleave inside the kernels;
-        # the per-stage times are exact, so lay the three spans out
-        # back-to-back over the measured compute window.
-        t = tc0
-        for st in (Stage.INDEX_SEARCH, Stage.ACCUMULATION,
-                   Stage.WRITEBACK):
-            d = float(profile.stage_seconds.get(st, 0.0))
-            tr.add_span(st.value, start=t, end=t + d,
-                        measured="aggregate")
-            t += d
+    run, hta_peak_bytes = _loop_stages(
+        px, sy, hty, profile,
+        y_structure=y_structure,
+        accumulator=accumulator,
+        accumulator_buckets=accumulator_buckets,
+        granularity=granularity,
+        clock=clock,
+    )
+    for st in (Stage.INDEX_SEARCH, Stage.ACCUMULATION):
+        d = float(profile.stage_seconds.get(st, 0.0))
+        tr.add_span(st.value, start=t1, end=t1 + d, measured="aggregate")
+        t1 += d
 
-    # ---------------- stage 5: output sorting ------------------------
-    if sort_output:
-        t0 = clock()
-        z = z.sort()
-        t1 = clock()
-        profile.add_time(Stage.OUTPUT_SORTING, t1 - t0)
-        tr.add_span(Stage.OUTPUT_SORTING.value, start=t0, end=t1)
-        rowb = coo_row_bytes(plan.out_order)
-        passes = _sort_passes(z.nnz)
-        profile.record_traffic(
-            DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.READ,
-            AccessPattern.RANDOM, int(z.nnz * rowb * passes),
-        )
-        profile.record_traffic(
-            DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.WRITE,
-            AccessPattern.RANDOM, int(z.nnz * rowb * passes),
-        )
-
+    # ---------------- stages 4-5: gather + output sorting ------------
+    # The references keep the generic delinearization, independent of
+    # the generated kernels they are checked against.
+    z = finish_output(
+        [run], px.fx_rows, plan, profile,
+        sort_output=sort_output, codegen=False, clock=clock,
+        tracer=tracer,
+    )
     if hty is not None:
         profile.counters["hash_probes"] = hty.table.probes - hty_probes0
     record_computation_traffic(
@@ -213,9 +175,9 @@ def looped_contract(
         profile,
         x,
         uses_hty=hty is not None,
-        products=products,
+        products=run.products,
         hta_peak_bytes=hta_peak_bytes,
-        created=created,
+        created=z.nnz,
     )
     tr.add_span(
         engine_name,
@@ -228,48 +190,14 @@ def looped_contract(
     return ContractionResult(z, profile, plan)
 
 
-def _fused_stages(px, source, plan, profile, *, y_structure, accumulator,
-                  accumulator_buckets, codegen=None, dense_threshold=None,
-                  workspace_cap=None, clock=time.perf_counter):
-    """Stages 2-4 through the fused flat-batch kernel."""
-    kernel_kwargs = {}
-    if dense_threshold is not None:
-        kernel_kwargs["dense_threshold"] = dense_threshold
-    if workspace_cap is not None:
-        kernel_kwargs["workspace_cap"] = workspace_cap
-    fr = fused_compute(
-        px,
-        source,
-        y_structure=y_structure,
-        accumulator=accumulator,
-        profile=profile,
-        accumulator_buckets=accumulator_buckets,
-        codegen=codegen,
-        clock=clock,
-        **kernel_kwargs,
-    )
-    profile.add_time(Stage.INDEX_SEARCH, fr.search_seconds)
-    profile.add_time(Stage.ACCUMULATION, fr.accum_seconds)
-    profile.bump("products", fr.products)
-    profile.bump("accum_probes", fr.accum_probes)
-    if accumulator == "hash":
-        hta_peak_bytes = hta_model_nbytes(
-            fr.max_group_output, accumulator_buckets
-        )
-    else:
-        hta_peak_bytes = fr.spa_peak_bytes
-    t0 = clock()
-    z = assemble_fused(
-        fr.out_fgrp, fr.out_fy, fr.out_vals, px.fx_rows, plan, profile,
-        codegen=codegen,
-    )
-    profile.add_time(Stage.WRITEBACK, clock() - t0)
-    return z, fr.products, hta_peak_bytes
-
-
-def _loop_stages(px, sy, hty, plan, profile, *, y_structure, accumulator,
+def _loop_stages(px, sy, hty, profile, *, y_structure, accumulator,
                  accumulator_buckets, granularity, clock):
-    """Stages 2-4 through the per-sub-tensor / per-element Python loop."""
+    """Stages 2-4 through the per-sub-tensor / per-element Python loop.
+
+    Returns the sub-tensors' accumulator exports as one run in
+    sub-tensor order (each accumulator exports in insertion order, so
+    stage 5 sorts it) and the peak accumulator bytes.
+    """
 
     def make_accumulator() -> SparseAccumulator | HashAccumulator:
         if accumulator == "spa":
@@ -280,20 +208,19 @@ def _loop_stages(px, sy, hty, plan, profile, *, y_structure, accumulator,
     accum_time = 0.0
     write_time = 0.0
     products = 0
-    accum_probe_base = 0
+    accum_probes = 0
     hta_peak_bytes = 0
-    local = LocalOutput()
+    out_fgrp: list = []
+    out_fy: list = []
+    out_vals: list = []
 
     ptr = px.ptr
     cx_ln = px.cx_ln
     xvals = px.values
-    if sy is not None:
-        src_ptr = sy.group_ptr
-        src_vals = sy.values
-    else:
-        src_ptr = hty.group_ptr  # type: ignore[union-attr]
-        src_vals = hty.values  # type: ignore[union-attr]
-    src_free = sy.free_ln if sy is not None else hty.free_ln  # type: ignore[union-attr]
+    source = sy if sy is not None else hty
+    src_ptr = source.group_ptr
+    src_vals = source.values
+    src_free = source.free_ln
 
     for f in range(px.num_subtensors):
         acc = make_accumulator()
@@ -307,7 +234,7 @@ def _loop_stages(px, sy, hty, plan, profile, *, y_structure, accumulator,
                 else:
                     gids = sy.linear_search_many(keys, profile)
             else:
-                gids = hty.lookup_many(keys)  # type: ignore[union-attr]
+                gids = hty.lookup_many(keys)
                 profile.bump("search_probes", int(keys.shape[0]))
             rows = np.flatnonzero(gids >= 0)
             grp = gids[rows]
@@ -333,7 +260,7 @@ def _loop_stages(px, sy, hty, plan, profile, *, y_structure, accumulator,
                     if found:
                         fkeys, fvals = sy.group(g)  # type: ignore[arg-type]
                 else:
-                    hit = hty.lookup(key)  # type: ignore[union-attr]
+                    hit = hty.lookup(key)
                     found = hit is not None
                     if found:
                         fkeys, fvals = hit  # type: ignore[misc]
@@ -347,18 +274,31 @@ def _loop_stages(px, sy, hty, plan, profile, *, y_structure, accumulator,
                 products += int(fkeys.shape[0])
         t = clock()
         keys_out, vals_out = acc.export()
-        local.append(px.fx_rows[f], keys_out, vals_out)
+        out_fgrp.append(np.full(keys_out.shape[0], f, dtype=np.int64))
+        out_fy.append(keys_out)
+        out_vals.append(vals_out)
         write_time += clock() - t
         hta_peak_bytes = max(hta_peak_bytes, acc.nbytes)
-        accum_probe_base += acc.probes if hasattr(acc, "probes") else 0
+        accum_probes += getattr(acc, "probes", 0)
 
     profile.add_time(Stage.INDEX_SEARCH, search_time)
     profile.add_time(Stage.ACCUMULATION, accum_time)
-    profile.bump("products", products)
-    profile.bump("accum_probes", accum_probe_base)
-
-    t0 = clock()
-    z = assemble_output([local], plan, profile, sort_output=False)
-    write_time += clock() - t0
     profile.add_time(Stage.WRITEBACK, write_time)
-    return z, products, hta_peak_bytes
+    profile.bump("products", products)
+    profile.bump("accum_probes", accum_probes)
+
+    def cat(parts, dtype):
+        return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+    run = FusedRange(
+        out_fgrp=cat(out_fgrp, np.int64),
+        out_fy=cat(out_fy, np.int64),
+        out_vals=cat(out_vals, np.float64),
+        products=products,
+        accum_probes=accum_probes,
+        max_group_output=0,
+        spa_peak_bytes=0,
+        search_seconds=search_time,
+        accum_seconds=accum_time,
+    )
+    return run, hta_peak_bytes

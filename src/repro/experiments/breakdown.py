@@ -62,7 +62,6 @@ def run(
                 res = parallel_sparta(
                     case.x, case.y, case.cx, case.cy,
                     threads=threads, backend=backend, tracer=tracer,
-                    planner="off",
                 ).result
             else:
                 res = contract(

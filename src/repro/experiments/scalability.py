@@ -107,7 +107,6 @@ def run(
         }
         par = parallel_sparta(
             case.x, case.y, case.cx, case.cy, threads=4,
-            planner="off",
         )
         measured = None
         degraded = False
@@ -116,7 +115,6 @@ def run(
                 case.x, case.y, case.cx, case.cy,
                 threads=process_workers, backend="process",
                 max_retries=max_retries, on_failure=on_failure,
-                planner="off",
             )
             measured = serial_wall / max(proc.wall_seconds, 1e-12)
             degraded = (

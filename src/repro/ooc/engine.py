@@ -1,57 +1,47 @@
-"""Budget-capped out-of-core Sparta: the streaming five-stage pipeline.
+"""Budget-capped out-of-core Sparta: the spill pieces of the pipeline.
 
-:func:`ooc_contract` is the serial fused engine re-plumbed so no stage
-ever holds the full working set:
+:func:`ooc_contract` is the serial five-stage pipeline
+(:func:`repro.core.pipeline.run_pipeline`) under a memory budget. When
+:func:`~repro.planner.ooc.plan_ooc` decides the working set does not
+fit, no stage holds the full working set:
 
 * **stage 1** — X is prepared as usual (its footprint is charged to the
-  budget); HtY is built *partition-by-partition*: each Y span's partial
-  grouping is spilled to a run file as soon as it is built, then the
-  partials are merged straight off their memory maps (the merge is the
-  PR 3 ``merge_partials``, bit-identical to a serial ``from_coo``), and
-  the merged table's bulk payload arrays (``free_ln``/``values``) are
-  demoted back to disk and re-mapped read-only — only the hash chains,
-  group pointers and X stay resident;
+  budget); HtY is built *partition-by-partition*
+  (:func:`build_hty_spilled`): each Y span's partial grouping is spilled
+  to a run file as soon as it is built, then the partials are merged
+  straight off their memory maps (bit-identical to a serial
+  ``from_coo``), and the merged table's bulk payload arrays
+  (``free_ln``/``values``) are demoted back to disk and re-mapped
+  read-only — only the hash chains, group pointers and X stay resident;
 * **stages 2–4** — the sub-tensor loop runs in budget-sized chunks
   through the unmodified :func:`~repro.core.kernels.fused_compute`;
-  each chunk's sorted ``(fgrp, fy, vals)`` output is appended to a spill
-  run and dropped from memory;
+  each chunk's sorted ``(fgrp, fy, vals)`` output goes to its own run
+  file and is dropped from memory;
 * **stage 5** — a streaming k-way merge over the mmapped runs
-  (:func:`~repro.ooc.merge.stream_merge_fused`) assembles and writes
-  the final COO arrays *incrementally* to two raw files, which are then
-  mapped and immediately unlinked — the returned tensor stays valid,
-  the spill directory is removed without orphans, and the full
-  accumulator is never materialized.
+  (:func:`stream_finalize`) assembles and writes the final COO arrays
+  *incrementally* to two raw files, which are then mapped and
+  immediately unlinked — the returned tensor stays valid, the spill
+  directory is removed without orphans, and the full accumulator is
+  never materialized.
 
 Chunks cover disjoint ascending sub-tensor ranges, so the concatenation
-of the per-chunk outputs is exactly the serial fused output (the same
-argument the parallel executor's gather rests on), all probe/product
-counters sum to the serial totals, and every Table-2 traffic cell is
-charged through the identical shared helpers with identical totals —
-results and traffic are byte-exact against the in-core engines.
-
-When :func:`~repro.planner.ooc.plan_ooc` estimates the working set fits
-the budget (and ``force_spill`` is off), the call routes to the in-core
-:func:`~repro.core.looped.looped_contract` unchanged — budgeted
-execution costs nothing when spilling would not help.
+of the per-chunk outputs is exactly the serial fused output, all
+probe/product counters sum to the serial totals, and every Table-2
+traffic cell is charged through the identical shared helpers — results
+and traffic are byte-exact against the in-core engines. A budget that
+fits runs the in-core pipeline unchanged.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.common import _sort_passes, coo_row_bytes, prepare_x
-from repro.core.htycache import cached_plan
-from repro.core.kernels import (
-    fused_compute,
-    hta_model_nbytes,
-    record_computation_traffic,
-    record_hty_build,
-)
-from repro.core.looped import looped_contract
+from repro.core.common import coo_row_bytes
+from repro.core.pipeline import even_spans, run_pipeline, swap_operands
 from repro.core.profile import (
     AccessKind,
     AccessPattern,
@@ -66,14 +56,8 @@ from repro.hashtable.tensor_table import (
     build_partial_groups,
     split_contract_modes,
 )
-from repro.obs.tracer import (
-    CAT_CONTRACTION,
-    CAT_SPILL,
-    NULL_TRACER,
-    Tracer,
-)
-from repro.planner.ooc import OocDecision, plan_ooc
-from repro.planner.stats import contraction_stats
+from repro.obs.tracer import CAT_SPILL, NULL_TRACER, Tracer
+from repro.planner.ooc import OocDecision
 from repro.tensor.coo import SparseTensor
 from repro.tensor.linearize import delinearize
 from repro.types import INDEX_DTYPE, VALUE_DTYPE
@@ -83,7 +67,7 @@ from .merge import DEFAULT_BLOCK_ROWS, stream_merge_fused
 from .runfile import RunFileReader
 from .spill import SpillManager
 
-__all__ = ["ooc_contract", "stream_finalize"]
+__all__ = ["build_hty_spilled", "ooc_contract", "stream_finalize"]
 
 ENGINE_NAME = "sparta"
 
@@ -95,24 +79,7 @@ def _fy_span(fy_dims: Sequence[int]) -> int:
     return max(span, 1)
 
 
-def _even_spans(n: int, k: int) -> List[Tuple[int, int]]:
-    k = max(min(int(k), int(n)), 1)
-    bounds = [(i * n) // k for i in range(k + 1)]
-    return [
-        (bounds[i], bounds[i + 1])
-        for i in range(k)
-        if bounds[i + 1] > bounds[i]
-    ]
-
-
-def _px_nbytes(px) -> int:
-    return int(
-        px.ptr.nbytes + px.fx_rows.nbytes + px.cx_ln.nbytes
-        + px.values.nbytes
-    )
-
-
-def _build_hty_spilled(
+def build_hty_spilled(
     y: SparseTensor,
     cy: Sequence[int],
     decision: OocDecision,
@@ -136,7 +103,7 @@ def _build_hty_spilled(
     )
     t0 = clock()
     writer = spill.writer("hty_partials.runs")
-    for lo, hi in _even_spans(y.nnz, decision.num_y_spans):
+    for lo, hi in even_spans(y.nnz, decision.num_y_spans):
         pg = build_partial_groups(
             y.indices, y.values, cmodes, fmodes, cdims, fdims, lo, hi
         )
@@ -174,19 +141,17 @@ def _build_hty_spilled(
         partials, fdims, cdims, num_buckets=num_buckets
     )
     reader.close()
-    budget.charge("hty", hty.nbytes)
-    # Demote the payload bulk to disk; lookups stay O(1) in RAM.
-    payload_bytes = int(hty.free_ln.nbytes + hty.values.nbytes)
-    if payload_bytes:
-        pw = spill.writer("hty_payload.run")
-        pw.append_run({"free_ln": hty.free_ln, "values": hty.values})
-        pw.close()
-        spill.account(pw)
-        pr = RunFileReader(pw.path)
-        arrs = pr.run(0)
-        hty.free_ln = arrs["free_ln"]
-        hty.values = arrs["values"]
-        budget.release("hty", payload_bytes)
+    # Demote the payload bulk to disk; lookups stay O(1) in RAM. The
+    # caller charges what stays resident.
+    with budget.hold("hty_merged", hty.nbytes):
+        if hty.free_ln.nbytes + hty.values.nbytes:
+            pw = spill.writer("hty_payload.run")
+            pw.append_run({"free_ln": hty.free_ln, "values": hty.values})
+            pw.close()
+            spill.account(pw)
+            arrs = RunFileReader(pw.path).run(0)
+            hty.free_ln = arrs["free_ln"]
+            hty.values = arrs["values"]
     return hty
 
 
@@ -197,7 +162,6 @@ def stream_finalize(
     profile: RunProfile,
     spill: SpillManager,
     *,
-    sort_output: bool,
     clock=time.perf_counter,
     tracer: Optional[Tracer] = None,
     zlocal_peak_bytes: Optional[int] = None,
@@ -205,8 +169,9 @@ def stream_finalize(
 ) -> SparseTensor:
     """Stages 4–5 as a streaming merge-assemble-append over sorted runs.
 
-    Byte-identical replacement for ``merge_fused_runs`` +
-    ``assemble_fused`` + ``z.sort()``: merged blocks are assembled to
+    The spilled branch of :func:`repro.core.pipeline.finish_output`,
+    byte-identical to ``merge_fused_runs`` + ``assemble_fused`` +
+    ``z.sort()``: merged blocks are assembled to
     COO rows (same ``fx_rows`` gather and ``delinearize`` arithmetic)
     and appended to two raw files, which are mapped back and unlinked —
     the returned tensor owns the last references to their inodes, so
@@ -293,20 +258,6 @@ def stream_finalize(
     profile.add_time(Stage.WRITEBACK, t1 - t0)
     tr.add_span(Stage.WRITEBACK.value, start=t0, end=t1,
                 measured="streamed")
-    if sort_output:
-        # The streaming merge *is* the stage-5 sort; charge the sort's
-        # access signature so Table-2 cells stay byte-exact with the
-        # in-core engines (same rule as the executor's merge path).
-        passes = _sort_passes(total)
-        profile.add_time(Stage.OUTPUT_SORTING, 0.0)
-        profile.record_traffic(
-            DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.READ,
-            AccessPattern.RANDOM, int(total * rowb * passes),
-        )
-        profile.record_traffic(
-            DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.WRITE,
-            AccessPattern.RANDOM, int(total * rowb * passes),
-        )
     return z
 
 
@@ -333,7 +284,7 @@ def ooc_contract(
     ``"64M"``-style string, or a pre-built :class:`MemoryBudget` —
     shared accountants let callers pool several contractions under one
     cap). :func:`~repro.planner.ooc.plan_ooc` routes the call: a
-    working set that fits runs the unmodified in-core engine
+    working set that fits runs the unmodified in-core pipeline
     (``flags["ooc"] = "in_core"``); otherwise the streaming spill
     pipeline runs (``flags["ooc"] = "spill"``). ``force_spill`` pins
     the spill path for tests and benchmarks. Results and Table-2
@@ -344,178 +295,23 @@ def ooc_contract(
     permutation+sort materializes Z in memory, so budget-critical
     callers should orient operands so no swap triggers.
     """
-    budget = (
-        memory_budget
-        if isinstance(memory_budget, MemoryBudget)
-        else MemoryBudget(memory_budget)
-    )
-    if swap_larger_to_y and x.nnz > y.nnz:
-        plan = cached_plan(x, y, cx, cy)
-        res = ooc_contract(
-            y, x, cy, cx,
-            memory_budget=budget,
-            sort_output=False,
-            num_buckets=num_buckets,
-            accumulator_buckets=accumulator_buckets,
-            spill_root=spill_root,
-            force_spill=force_spill,
-            codegen=codegen,
-            tracer=tracer,
-            engine_name=engine_name,
-        )
-        tr = NULL_TRACER if tracer is None else tracer
-        with tr.span(Stage.OUTPUT_SORTING.value, swapped=True):
-            z = res.tensor.permute(plan.swap_output_permutation())
-            if sort_output:
-                z = z.sort()
-        res.tensor = z
-        res.plan = plan
-        res.profile.counters["swapped_operands"] = 1
-        return res
-
-    plan = cached_plan(x, y, cx, cy)
-    stats = contraction_stats(x, y, plan)
-    decision = plan_ooc(stats, budget.cap, force_spill=force_spill)
-
-    if not decision.out_of_core:
-        res = looped_contract(
+    def run(x, y, cx, cy, sort_output=sort_output):
+        return run_pipeline(
             x, y, cx, cy,
             engine_name=engine_name,
-            y_structure="hash",
-            accumulator="hash",
             sort_output=sort_output,
             num_buckets=num_buckets,
             accumulator_buckets=accumulator_buckets,
             codegen=codegen,
+            memory_budget=memory_budget,
+            spill_root=spill_root,
+            force_spill=force_spill,
             tracer=tracer,
-        )
-        res.profile.set_flag("ooc", "in_core")
-        res.profile.counters.update(decision.counters())
-        res.profile.counters.update(budget.counters())
-        return res
+        ).result
 
-    profile = RunProfile(engine_name)
-    tr = NULL_TRACER if tracer is None else tracer
-    clock = time.perf_counter
-    t_root = clock()
-    spill = SpillManager(spill_root)
-    try:
-        # ---------------- stage 1: input processing ------------------
-        t0 = clock()
-        px = prepare_x(x, plan, profile)
-        px_bytes = budget.charge("prepared_x", _px_nbytes(px))
-        hty = _build_hty_spilled(
-            y, plan.cy, decision, spill, budget, num_buckets, tr, clock
+    if swap_larger_to_y and x.nnz > y.nnz:
+        return swap_operands(
+            lambda *ops: run(*ops, sort_output=False),
+            x, y, cx, cy, sort_output=sort_output, tracer=tracer,
         )
-        record_hty_build(y, hty, profile, cached=False)
-        hty_probes0 = hty.table.probes
-        t1 = clock()
-        profile.add_time(Stage.INPUT_PROCESSING, t1 - t0)
-        tr.add_span(Stage.INPUT_PROCESSING.value, start=t0, end=t1)
-        profile.bump("num_subtensors", px.num_subtensors)
-
-        # ------------- stages 2-4: chunked compute + spill ------------
-        tc0 = clock()
-        from repro.parallel.partition import partition_subtensors
-
-        ranges = partition_subtensors(px.ptr, decision.num_chunks)
-        writer = spill.writer("fused.runs")
-        products = 0
-        accum_probes = 0
-        max_out = 0
-        zlocal_rows = 0
-        for lo, hi in ranges:
-            fr = fused_compute(
-                px,
-                hty,
-                y_structure="hash",
-                accumulator="hash",
-                profile=profile,
-                accumulator_buckets=accumulator_buckets,
-                lo=lo,
-                hi=hi,
-                chunk_pairs=decision.chunk_pairs,
-                codegen=codegen,
-                clock=clock,
-            )
-            profile.add_time(Stage.INDEX_SEARCH, fr.search_seconds)
-            profile.add_time(Stage.ACCUMULATION, fr.accum_seconds)
-            fr_bytes = (
-                fr.out_fgrp.nbytes + fr.out_fy.nbytes
-                + fr.out_vals.nbytes
-            )
-            ts = clock()
-            with budget.hold("fused_chunk", fr_bytes):
-                writer.append_run(
-                    {
-                        "fgrp": fr.out_fgrp,
-                        "fy": fr.out_fy,
-                        "vals": fr.out_vals,
-                    }
-                )
-            tr.add_span(
-                "spill_run", start=ts, end=clock(), cat=CAT_SPILL,
-                rows=int(fr.nnz), bytes=int(fr_bytes),
-            )
-            products += fr.products
-            accum_probes += fr.accum_probes
-            max_out = max(max_out, fr.max_group_output)
-            zlocal_rows += fr.nnz
-            del fr
-        writer.close()
-        spill.account(writer)
-        profile.bump("products", products)
-        profile.bump("accum_probes", accum_probes)
-        if tr.enabled:
-            t = tc0
-            for st in (Stage.INDEX_SEARCH, Stage.ACCUMULATION):
-                d = float(profile.stage_seconds.get(st, 0.0))
-                tr.add_span(st.value, start=t, end=t + d,
-                            measured="aggregate")
-                t += d
-
-        # ------------- stages 4-5: streaming merge writeback ----------
-        reader = RunFileReader(writer.path)
-        runs = [reader.run(i) for i in range(reader.num_runs)]
-        z = stream_finalize(
-            runs,
-            px.fx_rows,
-            plan,
-            profile,
-            spill,
-            sort_output=sort_output,
-            clock=clock,
-            tracer=tr,
-        )
-        reader.close()
-        profile.counters["hash_probes"] = hty.table.probes - hty_probes0
-        record_computation_traffic(
-            plan,
-            profile,
-            x,
-            uses_hty=True,
-            products=products,
-            hta_peak_bytes=hta_model_nbytes(
-                max_out, accumulator_buckets
-            ),
-            created=z.nnz,
-        )
-        profile.set_flag("ooc", "spill")
-        profile.counters.update(decision.counters())
-        profile.counters.update(spill.counters())
-        profile.counters.update(budget.counters())
-        # Shared accountants outlive this run: return its residents.
-        budget.release("prepared_x", px_bytes)
-        budget.release("hty", hty.group_ptr.nbytes + hty.table.nbytes)
-        tr.add_span(
-            engine_name,
-            start=t_root,
-            end=clock(),
-            cat=CAT_CONTRACTION,
-            engine=engine_name,
-            ooc="spill",
-            nnz_out=int(z.nnz),
-        )
-        return ContractionResult(z, profile, plan)
-    finally:
-        spill.close()
+    return run(x, y, cx, cy)

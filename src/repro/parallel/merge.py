@@ -137,6 +137,9 @@ def merge_fused_runs(
     fy_span = max(fy_span, 1)
 
     def concat() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if len(runs) == 1:  # one run (the serial engines): no copy
+            fr = runs[0]
+            return fr.out_fgrp, fr.out_fy, fr.out_vals
         return (
             np.concatenate([fr.out_fgrp for fr in runs]),
             np.concatenate([fr.out_fy for fr in runs]),

@@ -527,10 +527,7 @@ def _run_chunk_units(
             from repro.ooc.runfile import spill_fused_range
 
             payload = spill_fused_range(
-                fr,
-                os.path.join(
-                    spill_dir, f"chunk{int(unit):05d}_w{wid}.run"
-                ),
+                fr, chunk_spill_path(spill_dir, unit, wid)
             )
         spans = None
         if tracer is not None:
@@ -560,6 +557,11 @@ def _run_chunk_units(
         )
         inj.fire("writeback", unit)
     inj.fire("output_sorting", ANY)
+
+
+def chunk_spill_path(spill_dir: str, unit: int, wid: int) -> str:
+    """Run file a chunk-phase worker spills chunk *unit* to."""
+    return os.path.join(spill_dir, f"chunk{int(unit):05d}_w{int(wid)}.run")
 
 
 def _worker_tracer(wid: int, trace: bool) -> Optional[Tracer]:

@@ -10,8 +10,8 @@ in an LRU beside the HtY/plan/kernel caches and surface through the
 tracer (a ``plan`` span) and ``MetricsRegistry`` (``planner.*``
 metrics, ``cache.planner.*``).
 
-Entry points: ``contract(plan="auto")``, ``parallel_sparta`` (the
-``REPRO_PLANNER`` env contract), ``ContractionSequence.run(plan=...)``
+Entry points: ``contract(plan="auto")`` (the only planner — explicit
+configurations run as requested), ``ContractionSequence.run(plan=...)``
 with greedy pairwise path search (:mod:`repro.planner.path`), and
 ``ttt --plan auto --explain-plan``.
 """

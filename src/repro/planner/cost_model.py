@@ -77,7 +77,7 @@ class CostModel:
         """Per-stage predicted Table-2 byte totals (serial schedule).
 
         Mirrors ``prepare_x``/``record_hty_build``/
-        ``record_computation_traffic``/``assemble_output`` with
+        ``record_computation_traffic``/``assemble_fused`` with
         estimated counts: probes ~ ``nnz_x`` chain entries, products and
         created entries from the uniform-fiber model.
         """
@@ -135,8 +135,20 @@ class CostModel:
             Stage.INDEX_SEARCH.value: c["probe"] * stats.nnz_x,
             Stage.ACCUMULATION.value: per_product * stats.est_products,
             Stage.WRITEBACK.value: c["writeback"] * stats.est_created,
-            Stage.OUTPUT_SORTING.value: c["sort_unit"] * stats.sort_z_units,
+            Stage.OUTPUT_SORTING.value: self.merge_seconds(stats, 1),
         }
+
+    def merge_seconds(self, stats: ContractionStats, runs: int) -> float:
+        """Stage 5 as every engine runs it: a merge of presorted runs.
+
+        The fused kernel leaves each run sorted, so stage 5 checks and
+        concatenates (one run, or disjoint ranges) or k-way merges —
+        ``log2(runs)`` passes over the output, at least one.
+        """
+        return (
+            self.calibration["merge_unit"] * stats.est_created
+            * max(math.log2(max(runs, 2)), 1.0)
+        )
 
     def estimate(
         self,
@@ -180,25 +192,12 @@ class CostModel:
             overhead = (
                 c[f"{engine}_pool"] + c[f"{engine}_worker"] * workers
             )
-        if engine != "serial" and merge_output:
-            # Merge-based output sorting: each worker sorts its own run
-            # of ~created/workers entries concurrently, then the parent
-            # k-way-merges the presorted runs. The run sort shrinks
-            # with workers while the merge grows with log2(workers), so
-            # the model can prefer wider pools on sort-heavy outputs
-            # and narrower ones when the merge would dominate.
-            per_run = stats.est_created / max(workers, 1)
-            run_sort = (
-                c["sort_unit"] * per_run
-                * math.log2(max(per_run, 2.0))
-            )
-            kway = (
-                c["merge_unit"] * stats.est_created
-                * max(math.log2(max(workers, 2)), 1.0)
-            )
-            stages[Stage.OUTPUT_SORTING.value] = min(
-                stages[Stage.OUTPUT_SORTING.value],
-                run_sort + kway,
+        if engine != "serial":
+            # one presorted run per worker range, or (merge disabled)
+            # the full lexsort of Z
+            stages[Stage.OUTPUT_SORTING.value] = (
+                self.merge_seconds(stats, workers) if merge_output
+                else c["sort_unit"] * stats.sort_z_units
             )
         if not sort_output:
             stages[Stage.OUTPUT_SORTING.value] = 0.0

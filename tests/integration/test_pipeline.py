@@ -89,7 +89,7 @@ class TestFullPipeline:
     def test_parallel_plus_model(self):
         case = make_case("vast", 1, scale=0.08, seed=2)
         par = parallel_sparta(
-            case.x, case.y, case.cx, case.cy, threads=3, planner="off"
+            case.x, case.y, case.cx, case.cy, threads=3
         )
         serial = contract(
             case.x, case.y, case.cx, case.cy,

@@ -75,7 +75,6 @@ class TestParallelBackends:
         tracer = Tracer()
         par = parallel_sparta(
             x, y, *MODES, threads=4, backend=backend, tracer=tracer,
-            planner="off",
         )
         names = [r.name for r in tracer.spans()]
         for stage in STAGE_NAMES:
@@ -94,7 +93,6 @@ class TestParallelBackends:
         tracer = Tracer()
         parallel_sparta(
             x, y, *MODES, threads=4, backend="process", tracer=tracer,
-            planner="off",
         )
         chunks = [r for r in tracer.spans() if r.name == "chunk"]
         units = sorted(r.args["unit"] for r in chunks)
@@ -116,7 +114,7 @@ class TestParallelBackends:
         tracer = Tracer()
         parallel_sparta(
             x, y, *MODES, threads=2, backend="thread",
-            merge_output=True, tracer=tracer, planner="off",
+            merge_output=True, tracer=tracer,
         )
         assert any(
             r.name == "merge_output" and r.cat == "merge"
@@ -154,11 +152,10 @@ class TestTracingDisabledDifferential:
     def test_parallel_profile_identical(self, pair, backend):
         x, y = pair
         base = parallel_sparta(
-            x, y, *MODES, threads=4, backend=backend, planner="off"
+            x, y, *MODES, threads=4, backend=backend
         )
         traced = parallel_sparta(
             x, y, *MODES, threads=4, backend=backend, tracer=Tracer(),
-            planner="off",
         )
         def strip(profile):
             d = profile.to_dict()

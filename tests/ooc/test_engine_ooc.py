@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core import contract
-from repro.ooc import MemoryBudget, ooc_contract
+from repro.errors import SpillError
+from repro.ooc import MemoryBudget, SpillManager, ooc_contract
+from repro.parallel import parallel_sparta
 from repro.tensor import SparseTensor
 from repro.tensor.random import random_tensor_fibered
 
@@ -129,3 +131,74 @@ class TestOocEngine:
         )
         assert par.result.profile.counters["ft_worker_failures"] >= 1
         assert os.listdir(root) == [], "run files leaked after crash"
+
+
+class TestRunFileAccounting:
+    """Spill counters cover exactly the accepted chunks' run files."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_counts_one_file_per_chunk(self, pair, backend):
+        x, y, cx, cy = pair
+        par = parallel_sparta(
+            x, y, cx, cy, threads=2, backend=backend,
+            memory_budget="1M", force_spill=True,
+        )
+        c = par.result.profile.counters
+        assert c["ooc_run_files"] == c["partition_ranges"]
+        assert c["ooc_runs"] == c["partition_ranges"]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_unreadable_run_file_raises(self, pair, backend, monkeypatch):
+        # An unreadable run file must raise, not leave the spill
+        # counters silently under-reported.
+        def unreadable(self, path):
+            raise SpillError(f"{path}: unreadable")
+
+        monkeypatch.setattr(SpillManager, "account_file", unreadable)
+        x, y, cx, cy = pair
+        with pytest.raises(SpillError, match="unreadable"):
+            parallel_sparta(
+                x, y, cx, cy, threads=2, backend=backend,
+                memory_budget="1M", force_spill=True,
+            )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_raising_run_returns_shared_budget(
+        self, pair, threads, monkeypatch
+    ):
+        # A run that raises mid-way must still return its prepared X
+        # and HtY to a caller's shared accountant.
+        def unreadable(self, path):
+            raise SpillError(f"{path}: unreadable")
+
+        monkeypatch.setattr(SpillManager, "account_file", unreadable)
+        x, y, cx, cy = pair
+        budget = MemoryBudget("1M")
+        with pytest.raises(SpillError, match="unreadable"):
+            parallel_sparta(
+                x, y, cx, cy, threads=threads, backend="thread",
+                memory_budget=budget, force_spill=True,
+            )
+        assert budget.used == 0
+
+    @pytest.mark.faults
+    def test_rejected_chunk_files_not_counted(self, pair):
+        # A corrupt chunk's sealed run file stays in the spill tree
+        # until cleanup; only the recomputed, accepted file counts.
+        from repro.faults import ANY, FaultPlan, FaultSpec
+
+        x, y, cx, cy = pair
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    "corrupt", worker=0, stage="accumulation", unit=ANY
+                ),
+            )
+        )
+        par = parallel_sparta(
+            x, y, cx, cy, threads=2, backend="process", fault_plan=plan,
+            memory_budget="1M", force_spill=True,
+        )
+        c = par.result.profile.counters
+        assert c["ft_corrupt_payloads"] >= 1
+        assert c["ooc_run_files"] == c["partition_ranges"]

@@ -77,11 +77,11 @@ def run_engine(name: str, x, y, cx, cy) -> SparseTensor:
         res = contract(x, y, cx, cy, method=name)
     elif name == "parallel_thread":
         res = parallel_sparta(
-            x, y, cx, cy, threads=3, planner="off"
+            x, y, cx, cy, threads=3
         ).result
     elif name == "parallel_process":
         res = parallel_sparta(
-            x, y, cx, cy, threads=2, backend="process", planner="off"
+            x, y, cx, cy, threads=2, backend="process"
         ).result
     else:  # pragma: no cover - guard against typos in ENGINE lists
         raise ValueError(name)
@@ -135,7 +135,6 @@ class TestDifferential:
             for workers in (1, 2, 5):
                 par = parallel_sparta(
                     x, y, cx, cy, threads=workers, backend=backend,
-                    planner="off",
                 )
                 assert_bit_identical(
                     par.result.tensor.sort(), ref,
@@ -158,7 +157,6 @@ class TestDifferential:
                     threads=3, backend=backend,
                     parallel_stage1=parallel_stage1,
                     merge_output=merge_output,
-                    planner="off",
                 )
                 assert_bit_identical(
                     par.result.tensor.sort(), ref,
@@ -174,7 +172,7 @@ class TestDifferential:
         for workers in (1, 2, 3, 4, 6):
             par = parallel_sparta(
                 x, y, cx, cy, threads=workers, backend="thread",
-                parallel_stage1=True, planner="off",
+                parallel_stage1=True,
             )
             assert_bit_identical(
                 par.result.tensor.sort(), ref, f"workers={workers}"
@@ -245,7 +243,6 @@ class TestCodegenDifferential:
         for codegen in (False, True):
             par = parallel_sparta(
                 x, y, cx, cy, threads=3, codegen=codegen,
-                planner="off",
             )
             assert_bit_identical(
                 par.result.tensor.sort(), ref,
@@ -356,7 +353,7 @@ class TestPlannerDifferential:
             workers = auto.profile.counters["planner_workers"]
             explicit = parallel_sparta(
                 x, y, cx, cy,
-                threads=workers, backend=engine, planner="off",
+                threads=workers, backend=engine,
             ).result
         assert_bit_identical(
             auto.tensor.sort(), explicit.tensor.sort(),
@@ -389,11 +386,10 @@ class TestPlannerDifferential:
                 x, y, cx, cy, method="sparta", swap_larger_to_y=False
             )),
             ("thread3", parallel_sparta(
-                x, y, cx, cy, threads=3, planner="off"
+                x, y, cx, cy, threads=3
             ).result),
             ("process2", parallel_sparta(
                 x, y, cx, cy, threads=2, backend="process",
-                planner="off",
             ).result),
         ):
             assert traffic_cells(res.profile) == base, (
@@ -452,11 +448,10 @@ class TestOocDifferential:
         x, y, cx, cy = make_case(seed)
         base = parallel_sparta(
             x, y, cx, cy, threads=workers, backend=backend,
-            planner="off",
         )
         ooc = parallel_sparta(
             x, y, cx, cy, threads=workers, backend=backend,
-            planner="off", memory_budget="256K", force_spill=True,
+            memory_budget="256K", force_spill=True,
         )
         assert ooc.result.profile.flags.get("ooc") == "spill"
         assert_bit_identical(
@@ -466,6 +461,31 @@ class TestOocDifferential:
         assert traffic_cells(ooc.result.profile) == traffic_cells(
             base.result.profile
         ), f"seed={seed} backend={backend}: traffic differs"
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=[f"seed{s}" for s in SEEDS])
+    def test_swapped_operands_bit_identical_and_traffic_exact(self, seed):
+        # x.nnz > y.nnz: the default contract() applies the §3.3 swap,
+        # and so does the budgeted call, which then spills the swapped
+        # contraction (the shape of the benchmark's out-of-core case).
+        x, y, cx, cy = make_case(seed)
+        if x.nnz == y.nnz:
+            pytest.skip("no larger operand to swap")
+        if x.nnz < y.nnz:
+            x, y, cx, cy = y, x, cy, cx
+        ref = run_engine("element", x, y, cx, cy)
+        base = contract(x, y, cx, cy)
+        ooc = contract(
+            x, y, cx, cy, memory_budget="256K", force_spill=True
+        )
+        for label, res in (("in-core", base), ("ooc", ooc)):
+            assert res.profile.counters["swapped_operands"] == 1, label
+            assert_bit_identical(
+                res.tensor, ref, f"seed={seed} swapped {label}"
+            )
+        assert ooc.profile.flags.get("ooc") == "spill", f"seed={seed}"
+        assert traffic_cells(ooc.profile) == traffic_cells(
+            base.profile
+        ), f"seed={seed}: swapped Table-2 traffic cells differ"
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_in_core_budget_changes_nothing_but_counters(self, seed):
@@ -545,7 +565,6 @@ SERVE_OPTION_SETS = (
             "method": "parallel",
             "threads": 2,
             "backend": "thread",
-            "planner": "off",
         },
     ),
 )

@@ -8,19 +8,6 @@ import pytest
 from repro.tensor import random_tensor
 
 
-@pytest.fixture(autouse=True)
-def _planner_off(monkeypatch):
-    """Pin the planner environment default for deterministic routing.
-
-    Serve tests compare served results against direct ``contract()``
-    calls with the *same* options; pinning ``REPRO_PLANNER=off`` keeps
-    any engine-internal planner consultation identical on both sides
-    regardless of the developer's environment. Requests that want the
-    planner opt back in with ``options={"plan": "auto"}``.
-    """
-    monkeypatch.setenv("REPRO_PLANNER", "off")
-
-
 @pytest.fixture
 def pair():
     """A modest contraction pair shared across serve tests."""
