@@ -1,19 +1,12 @@
-"""Fast-path benches: fused flat-batch kernel and HtY-cache reuse.
+"""Fast-path bench: HtY-cache reuse across a contraction chain.
 
-Two speedup claims are pinned here:
-
-* ``granularity="subtensor"`` (the fused flat-batch kernel in
-  ``repro/core/kernels.py``) vs the legacy per-sub-tensor Python loop
-  (``granularity="subtensor_loop"``) on Table-3 workloads scaled to
-  ~1e5 non-zeros in the many-small-fibers regime: geometric-mean
-  speedup must be >= 3x for the Sparta engine.
-* HtY/plan reuse across a :class:`~repro.core.sequence.ContractionSequence`
-  that applies the same operand repeatedly (the sparse-chain use case):
-  ``reuse_hty=True`` must be >= 1.5x faster than rebuilding HtY per step.
+HtY/plan reuse across a :class:`~repro.core.sequence.ContractionSequence`
+that applies the same operand repeatedly (the sparse-chain use case):
+``reuse_hty=True`` must be >= 1.5x faster than rebuilding HtY per step.
 
 Run directly (``python benchmarks/bench_fastpath.py``) to write
-``results/BENCH_fastpath.json``; under pytest the same measurements run
-as assertions.
+``results/BENCH_fastpath.json``; under pytest the same measurement runs
+as an assertion.
 """
 
 from __future__ import annotations
@@ -24,21 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import contract
 from repro.core.sequence import ContractionSequence
-from repro.datasets import make_case
-from repro.datasets.registry import SPECS
 from repro.tensor import SparseTensor
-
-#: (dataset, n_modes) cases with contract-key spaces large enough that the
-#: per-sub-tensor driver loop, not the products, dominates. Capacity-limited
-#: cases (chicago-2, nips-1: ~2.5k distinct contract keys) stay
-#: product-bound and cannot show the fused win; they are covered for
-#: correctness by the tier-1 suite instead.
-FUSED_CASES = [("flickr", 2), ("delicious", 2), ("uber", 2), ("uracil", 2)]
-
-TARGET_NNZ = 100_000
-TARGET_FIBERS = TARGET_NNZ / 12  # ~12 nnz per X sub-tensor
 
 
 def _best_of(fn, repeats=2):
@@ -48,50 +28,6 @@ def _best_of(fn, repeats=2):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _fused_case(dataset, n_modes, seed=0):
-    spec = SPECS[dataset]
-    return make_case(
-        dataset,
-        n_modes,
-        scale=TARGET_NNZ / spec.nnz,
-        fiber_scale=TARGET_FIBERS / spec.x_fibers,
-        seed=seed,
-    )
-
-
-def measure_fused():
-    """Per-case fused-vs-loop timings for the Sparta engine."""
-    rows = []
-    for dataset, n_modes in FUSED_CASES:
-        case = _fused_case(dataset, n_modes)
-
-        def run(granularity):
-            return contract(
-                case.x, case.y, case.cx, case.cy,
-                method="sparta", swap_larger_to_y=False,
-                granularity=granularity,
-            )
-
-        fused = run("subtensor")
-        loop = run("subtensor_loop")
-        assert np.array_equal(fused.tensor.indices, loop.tensor.indices)
-        assert np.array_equal(fused.tensor.values, loop.tensor.values)
-        t_fused = _best_of(lambda: run("subtensor"))
-        t_loop = _best_of(lambda: run("subtensor_loop"))
-        rows.append(
-            {
-                "case": case.label,
-                "nnz_x": case.x.nnz,
-                "nnz_y": case.y.nnz,
-                "nnz_z": fused.nnz,
-                "loop_seconds": t_loop,
-                "fused_seconds": t_fused,
-                "speedup": t_loop / t_fused,
-            }
-        )
-    return rows
 
 
 def _chain_operands(seed=0):
@@ -145,19 +81,8 @@ def measure_sequence_cache(steps=6):
     }
 
 
-def geomean(values):
-    return float(np.exp(np.mean(np.log(values))))
-
-
 # ----------------------------------------------------------------------
 # pytest entry points
-
-
-def test_fused_speedup_geomean():
-    rows = measure_fused()
-    g = geomean([r["speedup"] for r in rows])
-    detail = ", ".join(f"{r['case']}: {r['speedup']:.2f}x" for r in rows)
-    assert g >= 3.0, f"fused geomean {g:.2f}x < 3x ({detail})"
 
 
 def test_sequence_cache_speedup():
@@ -173,24 +98,12 @@ def test_sequence_cache_speedup():
 
 
 def main():
-    fused = measure_fused()
     seq = measure_sequence_cache()
-    payload = {
-        "fused": fused,
-        "fused_geomean": geomean([r["speedup"] for r in fused]),
-        "sequence_cache": seq,
-    }
+    payload = {"sequence_cache": seq}
     out = Path(__file__).resolve().parent.parent / "results"
     out.mkdir(exist_ok=True)
     path = out / "BENCH_fastpath.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
-    for row in fused:
-        print(
-            f"{row['case']:<24} loop {row['loop_seconds']:.3f}s  "
-            f"fused {row['fused_seconds']:.3f}s  "
-            f"{row['speedup']:.2f}x"
-        )
-    print(f"fused geomean: {payload['fused_geomean']:.2f}x")
     print(
         f"sequence cache ({seq['steps']} steps): "
         f"uncached {seq['uncached_seconds']:.3f}s  "

@@ -1,12 +1,9 @@
 """All-stage parallelism benchmark — writes ``BENCH_PR3.json``.
 
-Measures the scaled Figure-6 workloads three ways:
+Measures the scaled Figure-6 workloads two ways:
 
 * ``serial`` — the fused engine (the speedup baseline);
-* ``seed`` — the parallel executor with stages 1 and 5 still serial
-  (``parallel_stage1=False, merge_output=False``), i.e. the pre-PR
-  configuration whose Amdahl ceiling this PR removes;
-* ``allstage`` — the full pipeline: partitioned HtY build, fused
+* ``allstage`` — the parallel pipeline: partitioned HtY build, fused
   chunk compute, and merge-based output sorting.
 
 The machine-readable record lands at the repo root as ``BENCH_PR3.json``
@@ -59,12 +56,12 @@ def _best_serial(case, repeats):
     return best_wall, best
 
 
-def _best_parallel(case, backend, repeats, **flags):
+def _best_parallel(case, backend, repeats):
     best_wall, best = float("inf"), None
     for _ in range(repeats):
         par = parallel_sparta(
             case.x, case.y, case.cx, case.cy,
-            threads=WORKERS, backend=backend, **flags,
+            threads=WORKERS, backend=backend,
         )
         if par.wall_seconds < best_wall:
             best_wall, best = par.wall_seconds, par
@@ -74,10 +71,6 @@ def _best_parallel(case, backend, repeats, **flags):
 def measure_workload(name, modes, *, backend, repeats):
     case = make_case(name, modes, scale=BENCH_SCALE, seed=0)
     serial_wall, serial = _best_serial(case, repeats)
-    seed_wall, seed = _best_parallel(
-        case, backend, repeats,
-        parallel_stage1=False, merge_output=False,
-    )
     all_wall, allstage = _best_parallel(case, backend, repeats)
     assert allstage.result.tensor.allclose(serial.tensor)
     return {
@@ -87,11 +80,6 @@ def measure_workload(name, modes, *, backend, repeats):
         "serial": {
             "wall_seconds": serial_wall,
             "stage_seconds": _stage_seconds(serial.profile),
-        },
-        "seed": {
-            "wall_seconds": seed_wall,
-            "stage_seconds": _stage_seconds(seed.result.profile),
-            "speedup": serial_wall / max(seed_wall, 1e-12),
         },
         "allstage": {
             "wall_seconds": all_wall,
@@ -165,8 +153,7 @@ def main(argv=None):
     for row in payload["workloads"]:
         print(
             f"  {row['workload']}: serial "
-            f"{row['serial']['wall_seconds']:.3f}s | seed "
-            f"{row['seed']['speedup']:.2f}x | all-stage "
+            f"{row['serial']['wall_seconds']:.3f}s | all-stage "
             f"{row['allstage']['speedup']:.2f}x"
         )
     print(f"wrote {path}")

@@ -97,12 +97,12 @@ def _contract_auto(
     """``plan="auto"``: cost-model schedule choice, then dispatch.
 
     The planner (:mod:`repro.planner`) picks the engine (fused serial /
-    thread / process), worker count and stage strategies from O(1)
-    operand statistics. It may only change *which* engine runs — output
-    and Table-2 traffic stay byte-identical to the explicit-knob
-    configurations (the swap mode permutation is scored but never
-    chosen; see :func:`repro.planner.enumerate_plans`). The decision is
-    recorded as a ``plan`` span on the tracer,
+    thread / process) and worker count from O(1) operand statistics.
+    It may only change *which* engine runs — output and Table-2
+    traffic stay byte-identical to the explicit-knob configurations
+    (the swap mode permutation is scored but never chosen; see
+    :func:`repro.planner.enumerate_plans`). The decision is recorded
+    as a ``plan`` span on the tracer,
     ``flags["planner"] = "auto:<engine>"`` and the
     ``planner_est_products``/``planner_candidates`` counters.
     """
@@ -140,12 +140,6 @@ def _contract_auto(
         if memory_budget is not None:
             from repro.ooc.engine import ooc_contract
 
-            if kwargs.pop("hty_cache", None) is not None:
-                raise ContractionError(
-                    "memory_budget is incompatible with the HtY cache "
-                    "on the serial engine; drop use_hty_cache or the "
-                    "budget"
-                )
             res = ooc_contract(
                 x, y, cx, cy,
                 memory_budget=memory_budget,
@@ -170,8 +164,6 @@ def _contract_auto(
             x, y, cx, cy,
             threads=chosen.workers,
             backend=chosen.engine,
-            parallel_stage1=chosen.parallel_stage1,
-            merge_output=chosen.merge_output,
             sort_output=sort_output,
             tracer=tracer,
             memory_budget=memory_budget,
@@ -215,13 +207,12 @@ def contract(
         Engine name (see module docstring).
     plan:
         ``"auto"`` lets the cost-model planner (:mod:`repro.planner`)
-        pick the schedule — engine (fused serial / thread / process),
-        worker count (bounded by a ``max_workers=`` or ``threads=``
-        keyword, default CPU count), stage-1/5 strategies — from O(1)
-        operand statistics. Sparta-family methods only; output and
-        Table-2 traffic are byte-identical to the explicit
-        configurations. ``None``/``"off"`` (default) runs *method*
-        exactly as given.
+        pick the schedule — engine (fused serial / thread / process)
+        and worker count (bounded by a ``max_workers=`` or ``threads=``
+        keyword, default CPU count) — from O(1) operand statistics.
+        Sparta-family methods only; output and Table-2 traffic are
+        byte-identical to the explicit configurations.
+        ``None``/``"off"`` (default) runs *method* exactly as given.
     sort_output:
         Run stage 5 (lexicographic sort of Z). The paper sorts by default
         "to get a thorough understanding of all stages".
@@ -247,7 +238,10 @@ def contract(
         chunks spill to mmap-readable run files and stage 5 becomes a
         streaming merge over them (:mod:`repro.ooc`). Results and
         Table-2 traffic stay byte-identical either way. Sparta-family
-        methods only. ``None`` (default) never spills.
+        methods only, and not with the HtY cache (cached builds bypass
+        the budget's accounting; every engine raises
+        :class:`~repro.errors.ContractionError`). ``None`` (default)
+        never spills.
     spill_root:
         Directory for the run files of a spilling contraction (default
         the system temp dir). Created per run, removed on completion.
@@ -276,14 +270,16 @@ def contract(
         raise ContractionError(
             f"unknown method {method!r}; choose from {sorted(_ENGINES)}"
         ) from None
+    if method in ("sparta", "parallel"):
+        if use_hty_cache:
+            kwargs.setdefault("hty_cache", default_hty_cache())
+    elif use_hty_cache:
+        raise ContractionError(
+            f"use_hty_cache is only supported by the sparta-family "
+            f"engines ('sparta', 'parallel'), not {method!r}"
+        )
     if memory_budget is not None:
         if method == "sparta":
-            if use_hty_cache or kwargs.get("hty_cache") is not None:
-                raise ContractionError(
-                    "memory_budget is incompatible with the HtY cache on "
-                    "the serial engine (cached builds bypass budget "
-                    "accounting); drop use_hty_cache or the budget"
-                )
             from repro.ooc.engine import ooc_contract
 
             kwargs.setdefault("swap_larger_to_y", True)
@@ -304,14 +300,6 @@ def contract(
         kwargs["spill_root"] = spill_root
     if method == "sparta":
         kwargs.setdefault("swap_larger_to_y", True)
-    if method in ("sparta", "parallel"):
-        if use_hty_cache:
-            kwargs.setdefault("hty_cache", default_hty_cache())
-    elif use_hty_cache:
-        raise ContractionError(
-            f"use_hty_cache is only supported by the sparta-family "
-            f"engines ('sparta', 'parallel'), not {method!r}"
-        )
     if tracer is not None:
         if method in _TRACED_ENGINES:
             kwargs["tracer"] = tracer

@@ -9,11 +9,10 @@ engines differ only in
 :func:`looped_contract` selects an engine configuration from those two
 choices. The default ``"subtensor"`` granularity runs it through the
 five-stage pipeline (:func:`repro.core.pipeline.run_pipeline`), whose
-stages 2-4 are the fused flat-batch kernel. This module keeps the two
-loop-nest references: ``"element"`` is the per-non-zero semantic
-reference and ``"subtensor_loop"`` the historical
-one-Python-iteration-per-sub-tensor loop kept for fused-vs-loop
-benchmarking. They share stage 1 and stage 5 with the pipeline.
+stages 2-4 are the fused flat-batch kernel. This module keeps the
+loop-nest reference, ``"element"``: one Python iteration per X
+non-zero, the semantics every fused configuration is checked against.
+It shares stage 1 and stage 5 with the pipeline.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from repro.core.common import expand_ranges, prepare_x, prepare_y_sorted
+from repro.core.common import prepare_x, prepare_y_sorted
 from repro.core.htycache import HtYCache, cached_plan
 from repro.core.kernels import (
     HTA_CACHE_HIT,
@@ -44,7 +43,7 @@ from repro.tensor.coo import SparseTensor
 
 YStructure = Literal["coo", "coo_bsearch", "hash"]
 AccumulatorKind = Literal["spa", "hash"]
-Granularity = Literal["element", "subtensor", "subtensor_loop"]
+Granularity = Literal["element", "subtensor"]
 
 __all__ = ["looped_contract", "HTA_CACHE_HIT"]
 
@@ -79,9 +78,7 @@ def looped_contract(
       measurement path; the paper's C loops run at this cost level);
     * ``"element"`` — one Python iteration per X non-zero, exactly
       Algorithm 1/2's loop nest (used by semantics tests). Output is
-      identical to ``"subtensor"``;
-    * ``"subtensor_loop"`` — the historical one-batched-step-per-sub-
-      tensor Python loop, kept for fused-vs-loop benchmarking.
+      identical to ``"subtensor"``.
 
     ``hty_cache`` (hash engines only) reuses a previously built HtY when
     Y, the contract modes and ``num_buckets`` all match a cached entry —
@@ -110,10 +107,10 @@ def looped_contract(
             workspace_cap=workspace_cap,
             tracer=tracer,
         ).result
-    if granularity not in ("element", "subtensor_loop"):
+    if granularity != "element":
         raise ContractionError(
-            f"unknown granularity {granularity!r}; choose 'element', "
-            "'subtensor' or 'subtensor_loop'"
+            f"unknown granularity {granularity!r}; choose 'subtensor' "
+            "or 'element'"
         )
     plan = cached_plan(x, y, cx, cy)
     profile = RunProfile(engine_name)
@@ -149,10 +146,8 @@ def looped_contract(
     # ---------------- stages 2-4: computation ------------------------
     run, hta_peak_bytes = _loop_stages(
         px, sy, hty, profile,
-        y_structure=y_structure,
         accumulator=accumulator,
         accumulator_buckets=accumulator_buckets,
-        granularity=granularity,
         clock=clock,
     )
     for st in (Stage.INDEX_SEARCH, Stage.ACCUMULATION):
@@ -190,9 +185,9 @@ def looped_contract(
     return ContractionResult(z, profile, plan)
 
 
-def _loop_stages(px, sy, hty, profile, *, y_structure, accumulator,
-                 accumulator_buckets, granularity, clock):
-    """Stages 2-4 through the per-sub-tensor / per-element Python loop.
+def _loop_stages(px, sy, hty, profile, *, accumulator,
+                 accumulator_buckets, clock):
+    """Stages 2-4 through the per-element Python loop.
 
     Returns the sub-tensors' accumulator exports as one run in
     sub-tensor order (each accumulator exports in insertion order, so
@@ -217,61 +212,31 @@ def _loop_stages(px, sy, hty, profile, *, y_structure, accumulator,
     ptr = px.ptr
     cx_ln = px.cx_ln
     xvals = px.values
-    source = sy if sy is not None else hty
-    src_ptr = source.group_ptr
-    src_vals = source.values
-    src_free = source.free_ln
 
     for f in range(px.num_subtensors):
         acc = make_accumulator()
         s, e = int(ptr[f]), int(ptr[f + 1])
-        if granularity == "subtensor_loop":
+        for i in range(s, e):
+            key = int(cx_ln[i])
             t = clock()
-            keys = cx_ln[s:e]
             if sy is not None:
-                if y_structure == "coo_bsearch":
-                    gids = sy.binary_search_many(keys, profile)
-                else:
-                    gids = sy.linear_search_many(keys, profile)
+                g = sy.linear_search(key, profile)
+                found = g is not None
+                if found:
+                    fkeys, fvals = sy.group(g)  # type: ignore[arg-type]
             else:
-                gids = hty.lookup_many(keys)
-                profile.bump("search_probes", int(keys.shape[0]))
-            rows = np.flatnonzero(gids >= 0)
-            grp = gids[rows]
-            starts = src_ptr[grp]
-            lens = (src_ptr[grp + 1] - starts).astype(np.int64)
-            gather = expand_ranges(starts, lens)
+                hit = hty.lookup(key)
+                found = hit is not None
+                if found:
+                    fkeys, fvals = hit  # type: ignore[misc]
+                profile.bump("search_probes")
             search_time += clock() - t
-            if gather.size:
-                t = clock()
-                prod_vals = (
-                    np.repeat(xvals[s + rows], lens) * src_vals[gather]
-                )
-                acc.add_many(src_free[gather], prod_vals)
-                accum_time += clock() - t
-                products += int(gather.shape[0])
-        else:
-            for i in range(s, e):
-                key = int(cx_ln[i])
-                t = clock()
-                if sy is not None:
-                    g = sy.linear_search(key, profile)
-                    found = g is not None
-                    if found:
-                        fkeys, fvals = sy.group(g)  # type: ignore[arg-type]
-                else:
-                    hit = hty.lookup(key)
-                    found = hit is not None
-                    if found:
-                        fkeys, fvals = hit  # type: ignore[misc]
-                    profile.bump("search_probes")
-                search_time += clock() - t
-                if not found:
-                    continue
-                t = clock()
-                acc.add_many(fkeys, xvals[i] * fvals)
-                accum_time += clock() - t
-                products += int(fkeys.shape[0])
+            if not found:
+                continue
+            t = clock()
+            acc.add_many(fkeys, xvals[i] * fvals)
+            accum_time += clock() - t
+            products += int(fkeys.shape[0])
         t = clock()
         keys_out, vals_out = acc.export()
         out_fgrp.append(np.full(keys_out.shape[0], f, dtype=np.int64))

@@ -63,7 +63,7 @@ from repro.core.profile import (
 )
 from repro.core.result import ContractionResult
 from repro.core.stages import Stage
-from repro.errors import PoolDegradedError
+from repro.errors import ContractionError, PoolDegradedError
 from repro.faults import (
     ANY,
     FaultInjector,
@@ -178,8 +178,6 @@ def run_pipeline(
     y_structure: str = "hash",
     accumulator: str = "hash",
     sort_output: bool = True,
-    merge_output: bool = True,
-    parallel_stage1: bool = True,
     num_buckets: Optional[int] = None,
     accumulator_buckets: Optional[int] = None,
     x_format: str = "coo",
@@ -187,8 +185,6 @@ def run_pipeline(
     codegen: Optional[bool] = None,
     dense_threshold: Optional[float] = None,
     workspace_cap: Optional[int] = None,
-    chunking: str = "nnz",
-    chunks_per_worker: int = 1,
     start_method: Optional[str] = None,
     fault_plan: Optional[FaultPlan] = None,
     max_retries: int = 2,
@@ -206,29 +202,39 @@ def run_pipeline(
     calling thread — the serial engines), ``"thread"`` or ``"process"``
     with *workers* workers. ``y_structure``/``accumulator`` select the
     paper's engine variants (``"coo"``/``"coo_bsearch"`` Y and the SPA
-    accumulator run inline only). ``merge_output=False`` replaces the
-    stage-5 merge with the full lexsort.
+    accumulator run inline only). The parallel schedule has no
+    switches: its workers build HtY whenever the call builds one (no
+    cache hit, non-empty Y), stages 2-4 run over nnz-balanced sub-tensor
+    ranges (``DEFAULT_CHUNKS_PER_WORKER`` work-stealing chunks per
+    process worker) and stage 5 merges the presorted runs.
 
     ``memory_budget`` (bytes, a ``"64M"``-style string or a shared
     :class:`repro.ooc.MemoryBudget`) is the out-of-core front door:
     :func:`repro.planner.ooc.plan_ooc` decides in-core vs. spill
     (``flags["ooc"]``); spilling sends chunk outputs to run files under
     one :class:`~repro.ooc.SpillManager` directory, removed on return.
-    ``force_spill`` pins the spill path.
+    ``force_spill`` pins the spill path. A budget rejects an
+    ``hty_cache``: cached builds live outside the budget's accounting.
 
     Fault tolerance (``fault_plan``, ``max_retries``, ``on_failure``,
-    ``unit_timeout``, ``timeout``) and ``start_method``/
-    ``chunks_per_worker`` apply to the parallel runners only; see
-    :func:`repro.parallel.parallel_sparta`.
+    ``unit_timeout``, ``timeout``) and ``start_method`` apply to the
+    parallel runners only; see :func:`repro.parallel.parallel_sparta`.
     """
     plan = cached_plan(x, y, cx, cy)
     clock = time.perf_counter
     tr = NULL_TRACER if tracer is None else tracer
     profile = RunProfile(engine_name)
     policy = rlog = injector = None
+    per_worker = 1
     if backend != "inline":
-        from repro.parallel.procpool import RecoveryLog, RecoveryPolicy
+        from repro.parallel.procpool import (
+            DEFAULT_CHUNKS_PER_WORKER,
+            RecoveryLog,
+            RecoveryPolicy,
+        )
 
+        if backend == "process":
+            per_worker = DEFAULT_CHUNKS_PER_WORKER
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         policy = RecoveryPolicy(
@@ -242,13 +248,6 @@ def run_pipeline(
             injector = FaultInjector(
                 fault_plan, kill_mode="raise", tracer=tracer
             )
-    use_pool = (
-        backend == "process"
-        and parallel_stage1
-        and hty_cache is None
-        and y.nnz > 0
-        and x.nnz > 0
-    )
     budget = decision = spill = pool = None
     # what this run has charged to the budget, returned even on error:
     # a caller's shared accountant outlives the run
@@ -257,20 +256,25 @@ def run_pipeline(
     try:
         if memory_budget is not None:
             budget, decision, spill = _plan_budget(
-                x, y, plan, memory_budget,
+                x, y, plan, memory_budget, hty_cache,
                 workers=workers, force_spill=force_spill,
                 spill_root=spill_root,
             )
         # ---------------- stage 1: input processing ------------------
         t0 = clock()
         stage1_secs = None
-        if use_pool:
+        if backend == "process":
             from repro.parallel.executor import start_pool
 
-            # Start the workers on Y spans *before* preparing X so the
-            # parent's sort of X overlaps the partial builds.
+            # Start the workers *before* preparing X so the parent's
+            # sort of X overlaps the partial builds. They get Y spans
+            # only when they build HtY (no cache; an empty Y has none).
             pool = start_pool(
                 y, plan, workers,
+                spans=(
+                    even_spans(y.nnz, workers) if hty_cache is None
+                    else []
+                ),
                 start_method=start_method, policy=policy,
                 fault_plan=fault_plan, log=rlog,
                 spill_dir=spill.root if spill is not None else None,
@@ -288,8 +292,10 @@ def run_pipeline(
             source = prepare_y_sorted(y, plan, profile)
         else:
             cached = False
+            partials = None
             if pool is not None:
                 partials, stage1_secs = pool.drain_partials()
+            if partials:
                 _, _, cdims, fdims = split_contract_modes(
                     y.order, y.shape, plan.cy
                 )
@@ -309,8 +315,7 @@ def run_pipeline(
                     y, plan.cy, decision, spill, budget, num_buckets,
                     tr, clock,
                 )
-            elif (parallel_stage1 and backend == "thread"
-                  and workers > 1 and y.nnz > 0):
+            elif backend == "thread" and workers > 1 and y.nnz > 0:
                 source = _build_hty_threads(
                     y, plan.cy, workers, num_buckets,
                     injector=injector, policy=policy, log=rlog,
@@ -330,20 +335,13 @@ def run_pipeline(
             budget.charge("hty", resident)
 
         # ---------------- stages 2-4: chunked computation ------------
-        from repro.parallel.partition import (
-            partition_by_count,
-            partition_subtensors,
-        )
+        from repro.parallel.partition import partition_subtensors
 
-        per_worker = chunks_per_worker if backend == "process" else 1
         num_chunks = max(
-            workers * max(per_worker, 1),
+            workers * per_worker,
             decision.num_chunks if spill is not None else 1,
         )
-        if chunking == "count":
-            ranges = partition_by_count(px.num_subtensors, num_chunks)
-        else:
-            ranges = partition_subtensors(px.ptr, num_chunks)
+        ranges = partition_subtensors(px.ptr, num_chunks)
         profile.counters["partition_ranges"] = len(ranges)
         tc0 = clock()
         if backend == "process":
@@ -352,9 +350,7 @@ def run_pipeline(
             fused, stats, counter_dicts, hash_probes, imbalance = (
                 run_process_chunks(
                     pool, px, source, ranges,
-                    workers=workers, start_method=start_method,
-                    policy=policy, fault_plan=fault_plan, log=rlog,
-                    spill=spill, stage1_secs=stage1_secs,
+                    workers=workers, spill=spill, stage1_secs=stage1_secs,
                 )
             )
         else:
@@ -413,7 +409,6 @@ def run_pipeline(
         z = finish_output(
             fused, px.fx_rows, plan, profile,
             sort_output=sort_output,
-            merge_output=merge_output,
             spill=spill,
             # Z_local is per worker on the parallel runners; inline, the
             # one worker's Z_local is the whole output
@@ -484,9 +479,15 @@ def run_pipeline(
             spill.close()
 
 
-def _plan_budget(x, y, plan, memory_budget, *, workers, force_spill,
-                 spill_root):
+def _plan_budget(x, y, plan, memory_budget, hty_cache, *, workers,
+                 force_spill, spill_root):
     """The budget front door: accountant, spill decision, spill tree."""
+    if hty_cache is not None:
+        raise ContractionError(
+            "memory_budget is incompatible with the HtY cache (cached "
+            "builds bypass budget accounting); drop use_hty_cache or "
+            "the budget"
+        )
     # Imported lazily: repro.ooc imports this module.
     from repro.ooc.budget import MemoryBudget
     from repro.ooc.spill import SpillManager
@@ -533,7 +534,6 @@ def finish_output(
     profile: RunProfile,
     *,
     sort_output: bool,
-    merge_output: bool = True,
     spill=None,
     zlocal_peak_bytes: Optional[int] = None,
     codegen: Optional[bool] = None,
@@ -551,7 +551,7 @@ def finish_output(
       the runs (``concat`` when they are globally ordered, ``kway`` when
       they overlap) and falls back to the full lexsort on packed-key
       overflow or an unsorted run — ``output_merge_<path>`` counts the
-      path taken. ``merge_output=False`` always lexsorts;
+      path taken;
     * spilled (*spill* given), the streaming k-way merge over the
       mmapped run files assembles Z block by block
       (:func:`repro.ooc.engine.stream_finalize`).
@@ -584,9 +584,8 @@ def finish_output(
     else:
         from repro.parallel.merge import merge_fused_runs
 
-        merge = sort_output and merge_output
         t0 = clock()
-        if merge:
+        if sort_output:
             fgrp, fy, vals, presorted, path = merge_fused_runs(
                 fused, plan.fy_dims
             )
@@ -595,9 +594,8 @@ def finish_output(
                 _join([getattr(fr, name) for fr in fused])
                 for name in ("out_fgrp", "out_fy", "out_vals")
             )
-            presorted = False
         merge_seconds = clock() - t0
-        if merge:
+        if sort_output:
             tr.add_span("merge_output", start=t0, end=t0 + merge_seconds,
                         cat=CAT_MERGE)
         t0 = clock()
@@ -619,8 +617,7 @@ def finish_output(
                 Stage.OUTPUT_SORTING.value, start=t0, end=t1,
                 merge_seconds=merge_seconds,
             )
-            if merge:
-                profile.bump(f"output_merge_{path}")
+            profile.bump(f"output_merge_{path}")
     if sort_output:
         # A merge of sorted runs and a lexsort both move every output
         # row once per pass; Table-2 cells must not depend on the path.

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.common import coo_row_bytes
+from repro.core.htycache import HtYCache
 from repro.core.pipeline import even_spans, run_pipeline, swap_operands
 from repro.core.profile import (
     AccessKind,
@@ -275,6 +276,7 @@ def ooc_contract(
     spill_root: Optional[str] = None,
     force_spill: bool = False,
     codegen: Optional[bool] = None,
+    hty_cache: Optional[HtYCache] = None,
     tracer: Optional[Tracer] = None,
     engine_name: str = ENGINE_NAME,
 ) -> ContractionResult:
@@ -288,7 +290,9 @@ def ooc_contract(
     (``flags["ooc"] = "in_core"``); otherwise the streaming spill
     pipeline runs (``flags["ooc"] = "spill"``). ``force_spill`` pins
     the spill path for tests and benchmarks. Results and Table-2
-    traffic are byte-exact against the in-core engine either way.
+    traffic are byte-exact against the in-core engine either way. An
+    ``hty_cache`` is rejected (:class:`~repro.errors.ContractionError`):
+    cached builds bypass the budget's accounting.
 
     ``swap_larger_to_y`` applies the §3.3 larger-operand rule exactly
     like :func:`repro.core.sparta.sparta`; note the post-swap output
@@ -303,6 +307,7 @@ def ooc_contract(
             num_buckets=num_buckets,
             accumulator_buckets=accumulator_buckets,
             codegen=codegen,
+            hty_cache=hty_cache,
             memory_budget=memory_budget,
             spill_root=spill_root,
             force_spill=force_spill,

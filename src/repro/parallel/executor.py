@@ -4,30 +4,31 @@ The outer loop over X's mode-F sub-tensors is embarrassingly parallel
 once each worker owns a private accumulator and Z_local buffer, so
 parallel Sparta is the serial five-stage pipeline
 (:func:`repro.core.pipeline.run_pipeline`) with its chunk runner swapped.
-The serial stages around the loop are parallel too: stage 1 partitions
-Y's non-zeros into per-worker spans whose partial groupings merge
-deterministically into the exact HtY ``from_coo`` would build
-(``parallel_stage1``), and stage 5 merges the workers' presorted chunk
-outputs instead of re-sorting Z (``merge_output``,
-:mod:`repro.parallel.merge`). Two backends run that structure:
+The stages around the loop are parallel too: stage 1 partitions Y's
+non-zeros into per-worker spans whose partial groupings merge
+deterministically into the exact HtY ``from_coo`` would build, and
+stage 5 merges the workers' presorted chunk outputs instead of
+re-sorting Z (:mod:`repro.parallel.merge`). Two backends run that one
+schedule:
 
 * ``backend="thread"`` — a ``ThreadPoolExecutor`` over static balanced
   ranges. Python threads share one interpreter, so this backend models
   the parallel structure (per-worker statistics feed the scalability
   model) but cannot measure true multi-core wall-clock scaling;
-* ``backend="process"`` — :mod:`repro.parallel.procpool`: operands are
-  exported to shared memory, persistent worker processes claim
-  sub-tensor chunks through a shared counter (work stealing), and the
-  parent gathers per-chunk outputs in deterministic chunk order. With
-  ``parallel_stage1`` one :class:`~repro.parallel.procpool.SpartaProcessPool`
-  covers the whole run: workers stream HtY partials back while the
-  parent sorts X, then claim fused chunks — one pool start-up for all
-  five stages. This backend measures *real* wall-clock scaling on
-  multi-core hosts (:attr:`ParallelResult.wall_seconds`).
+* ``backend="process"`` — one
+  :class:`~repro.parallel.procpool.SpartaProcessPool` per call: operands
+  are exported to shared memory, and persistent worker processes stream
+  HtY partials back while the parent sorts X (only when they build HtY;
+  a cache hit or an empty operand gives them no stage-1 spans), then
+  claim sub-tensor chunks through a shared counter (work stealing).
+  The parent gathers per-chunk outputs in deterministic chunk order —
+  one pool start-up for all five stages. This backend measures *real*
+  wall-clock scaling on multi-core hosts
+  (:attr:`ParallelResult.wall_seconds`).
 
 This module holds the public front and the process-pool chunk runner;
-every flag combination is bit-identical to the serial fused engine and
-charges the same Table-2 traffic (pinned by
+both backends are bit-identical to the serial fused engine and charge
+the same Table-2 traffic (pinned by
 ``tests/parallel/test_traffic_conservation.py``).
 """
 
@@ -40,7 +41,6 @@ from repro.core.kernels import FusedRange
 from repro.core.pipeline import (
     ParallelResult,
     ThreadStats,
-    even_spans,
     run_pipeline,
 )
 from repro.errors import ContractionError, ShapeError
@@ -48,18 +48,15 @@ from repro.faults import FaultPlan
 from repro.hashtable.tensor_table import split_contract_modes
 from repro.obs.tracer import Tracer
 from repro.parallel.procpool import (
-    DEFAULT_CHUNKS_PER_WORKER,
     RecoveryLog,
     RecoveryPolicy,
     SpartaProcessPool,
     chunk_spill_path,
-    contract_chunks_in_processes,
 )
 from repro.tensor.coo import SparseTensor
 
 __all__ = [
     "BACKENDS",
-    "CHUNKINGS",
     "ParallelResult",
     "ThreadStats",
     "parallel_sparta",
@@ -68,8 +65,6 @@ __all__ = [
 ENGINE_NAME = "sparta_parallel"
 
 BACKENDS = ("thread", "process")
-
-CHUNKINGS = ("nnz", "count")
 
 
 def parallel_sparta(
@@ -84,10 +79,6 @@ def parallel_sparta(
     num_buckets: Optional[int] = None,
     hty_cache: Optional[HtYCache] = None,
     start_method: Optional[str] = None,
-    chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER,
-    parallel_stage1: bool = True,
-    merge_output: bool = True,
-    chunking: str = "nnz",
     fault_plan: Optional[FaultPlan] = None,
     max_retries: int = 2,
     on_failure: str = "raise",
@@ -105,18 +96,15 @@ def parallel_sparta(
     ``contract(plan="auto")``'s job. ``backend="process"`` runs the
     workers as separate processes over shared-memory operands (see
     :mod:`repro.parallel.procpool`); ``start_method``
-    ("fork"/"spawn"/"forkserver") and ``chunks_per_worker``
-    (work-stealing granularity) apply only there.
+    ("fork"/"spawn"/"forkserver") applies only there, and each worker
+    claims :data:`~repro.parallel.procpool.DEFAULT_CHUNKS_PER_WORKER`
+    nnz-balanced chunks on average through work stealing.
 
-    ``parallel_stage1`` builds HtY from per-worker partial groupings
-    merged in the parent (stage 1 parallel; skipped when an
-    ``hty_cache`` serves the build, or when an operand is empty);
-    ``merge_output`` replaces the final full lexsort of Z with a merge
-    of the per-range sorted runs (stage 5 parallel);
-    ``chunking`` picks the work decomposition: ``"nnz"`` balances
-    cumulative non-zeros (default), ``"count"`` is the naive equal
-    sub-tensor-count baseline. Output is bit-identical across backends,
-    worker counts and all of these switches.
+    Stage 1 builds HtY from per-worker partial groupings merged in the
+    parent (skipped when an ``hty_cache`` serves the build, or when Y
+    is empty); stage 5 merges the per-range sorted runs instead of
+    lexsorting Z. Output is bit-identical across backends and worker
+    counts.
 
     Fault tolerance: worker failures (hard death, hang past
     ``unit_timeout``, corrupt payload) lose only the failed worker's
@@ -163,23 +151,15 @@ def parallel_sparta(
         raise ContractionError(
             f"unknown backend {backend!r}; choose from {BACKENDS}"
         )
-    if chunking not in CHUNKINGS:
-        raise ContractionError(
-            f"unknown chunking {chunking!r}; choose from {CHUNKINGS}"
-        )
     return run_pipeline(
         x, y, cx, cy,
         engine_name=ENGINE_NAME,
         backend=backend,
         workers=threads,
         sort_output=sort_output,
-        merge_output=merge_output,
-        parallel_stage1=parallel_stage1,
         num_buckets=num_buckets,
         hty_cache=hty_cache,
         codegen=codegen,
-        chunking=chunking,
-        chunks_per_worker=chunks_per_worker,
         start_method=start_method,
         fault_plan=fault_plan,
         max_retries=max_retries,
@@ -201,13 +181,19 @@ def start_pool(
     plan,
     workers: int,
     *,
+    spans: Sequence[Tuple[int, int]],
     start_method: Optional[str],
     policy: RecoveryPolicy,
     fault_plan: Optional[FaultPlan],
     log: RecoveryLog,
     spill_dir: Optional[str],
 ) -> SpartaProcessPool:
-    """Start the two-phase pool on Y's stage-1 spans."""
+    """Start the call's two-phase pool.
+
+    *spans* are Y's stage-1 spans: empty when the parent serves HtY
+    from a cache or Y is empty, and the workers then go straight to
+    the chunk phase.
+    """
     cmodes, fmodes, cdims, fdims = split_contract_modes(
         y.order, y.shape, plan.cy
     )
@@ -218,7 +204,7 @@ def start_pool(
         fmodes,
         cdims,
         fdims,
-        even_spans(y.nnz, workers),
+        spans,
         workers=workers,
         start_method=start_method,
         policy=policy,
@@ -229,45 +215,25 @@ def start_pool(
 
 
 def run_process_chunks(
-    pool: Optional[SpartaProcessPool],
+    pool: SpartaProcessPool,
     px,
     hty,
     chunks: List[Tuple[int, int]],
     *,
     workers: int,
-    start_method: Optional[str],
-    policy: RecoveryPolicy,
-    fault_plan: Optional[FaultPlan],
-    log: RecoveryLog,
     spill=None,
     stage1_secs: Optional[Dict[int, float]] = None,
 ) -> Tuple[
     List[FusedRange], List[ThreadStats], List[Dict[str, int]], int, float
 ]:
-    """Stages 2–4 as work-stealing chunks on shared-memory processes.
+    """Stages 2–4 as work-stealing chunks on the call's *pool*.
 
-    Runs on the already-started two-phase *pool* when there is one,
-    else on a chunk-only pool. Out of core, workers spill each chunk to
-    their own run file; exactly the accepted chunks' files are
-    accounted (the parent's serial fallback keeps its chunks in
-    memory), and an unreadable accepted file raises.
+    Out of core, workers spill each chunk to their own run file;
+    exactly the accepted chunks' files are accounted (the parent's
+    serial fallback keeps its chunks in memory), and an unreadable
+    accepted file raises.
     """
-    if pool is not None:
-        wchunks = pool.run_chunks(px, hty, chunks)
-    elif chunks:
-        wchunks = contract_chunks_in_processes(
-            px,
-            hty,
-            chunks,
-            workers=workers,
-            start_method=start_method,
-            policy=policy,
-            fault_plan=fault_plan,
-            recovery_log=log,
-            spill_dir=spill.root if spill is not None else None,
-        )
-    else:
-        wchunks = []
+    wchunks = pool.run_chunks(px, hty, chunks)
     if spill is not None:
         for wc in wchunks:
             if wc.worker >= 0:

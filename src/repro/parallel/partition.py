@@ -87,27 +87,6 @@ def partition_subtensors(
     ]
 
 
-def partition_by_count(n_sub: int, num_chunks: int) -> List[Tuple[int, int]]:
-    """Equal sub-tensor-*count* ranges — the naive baseline.
-
-    Ignores fiber sizes entirely, so skewed tensors land most non-zeros
-    in a few chunks; kept as the comparison point for the size-aware
-    :func:`partition_subtensors` (``parallel_sparta(chunking="count")``).
-    """
-    if num_chunks <= 0:
-        raise ShapeError(f"num_chunks must be positive, got {num_chunks}")
-    n_sub = int(n_sub)
-    if n_sub <= 0:
-        return []
-    num_chunks = min(num_chunks, n_sub)
-    bounds = (np.arange(num_chunks + 1) * n_sub) // num_chunks
-    return [
-        (int(bounds[i]), int(bounds[i + 1]))
-        for i in range(num_chunks)
-        if bounds[i + 1] > bounds[i]
-    ]
-
-
 def partition_imbalance(
     ptr: np.ndarray, ranges: List[Tuple[int, int]]
 ) -> float:

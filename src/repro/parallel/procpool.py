@@ -582,7 +582,7 @@ def _span_worker_main(
     fault_plan: Optional[FaultPlan] = None,
     trace: bool = False,
 ) -> None:
-    """Standalone stage-1 worker (used by respawn rounds)."""
+    """Stage-1 respawn worker: claim tagged Y spans until none remain."""
     blocks: List[shared_memory.SharedMemory] = []
     tracer = _worker_tracer(wid, trace)
     try:
@@ -612,7 +612,7 @@ def _chunk_worker_main(
     trace: bool = False,
     spill_dir: Optional[str] = None,
 ) -> None:
-    """Single-phase chunk worker: claim tagged chunks until none remain."""
+    """Chunk-phase respawn worker: claim tagged chunks until none remain."""
     blocks: List[shared_memory.SharedMemory] = []
     tracer = _worker_tracer(wid, trace)
     try:
@@ -633,7 +633,7 @@ def _chunk_worker_main(
 
 def _pool_worker_main(
     wid: int,
-    yspec: SharedYSpec,
+    yspec: Optional[SharedYSpec],
     units: Sequence[Tuple[int, int, int]],
     counter_a,
     counter_b,
@@ -647,19 +647,23 @@ def _pool_worker_main(
     Phase A claims tagged Y spans through ``counter_a`` and ships each
     span's :class:`~repro.hashtable.tensor_table.PartialGroups` back to
     the parent (which merges them into HtY while this worker idles on
-    its pipe). Phase B starts when the parent sends this worker the
-    exported operands and tagged chunk list over the same duplex pipe;
-    it is the same claim loop as :func:`_chunk_worker_main`.
+    its pipe); with no spans (*yspec* is ``None``: the parent holds
+    HtY already) it only reports the phase done. Phase B starts when
+    the parent sends this worker the exported operands and tagged chunk
+    list over the same duplex pipe; it is the same claim loop as
+    :func:`_chunk_worker_main`.
     """
     blocks: List[shared_memory.SharedMemory] = []
     tracer = _worker_tracer(wid, trace)
     try:
         inj = FaultInjector(fault_plan, wid, tracer=tracer)
-        y_idx = _attach_array(yspec.indices, blocks)
-        y_val = _attach_array(yspec.values, blocks)
-        _run_span_units(
-            wid, y_idx, y_val, yspec, units, counter_a, conn, inj, tracer
-        )
+        if yspec is not None:
+            y_idx = _attach_array(yspec.indices, blocks)
+            y_val = _attach_array(yspec.values, blocks)
+            _run_span_units(
+                wid, y_idx, y_val, yspec, units, counter_a, conn, inj,
+                tracer,
+            )
         _send(
             conn,
             ("phase_done", wid, tracer.drain() if tracer else None),
@@ -1105,15 +1109,17 @@ def _make_chunk_handler(
 
 
 class SpartaProcessPool:
-    """Persistent two-phase worker pool for the all-parallel pipeline.
+    """Persistent two-phase worker pool behind every process-backend run.
 
     Construction exports Y's COO arrays to shared memory and starts the
-    workers, which immediately begin claiming stage-1 spans — so the
-    parent overlaps its own X preparation with the partial builds. The
-    parent then calls :meth:`drain_partials` (collect and merge inputs
-    for HtY), :meth:`run_chunks` (broadcast the exported operands, run
-    stages 2–4, gather in chunk order) and :meth:`close` (always, in a
-    ``finally``). One pool start-up cost covers all five stages.
+    workers, which immediately begin claiming stage-1 *spans* — so the
+    parent overlaps its own X preparation with the partial builds. With
+    no spans (an HtY cache hit, an empty Y) nothing is exported and
+    phase A is empty. The parent then calls :meth:`drain_partials`
+    (collect the inputs for HtY; ``[]`` without spans), :meth:`run_chunks`
+    (broadcast the exported operands, run stages 2–4, gather in chunk
+    order) and :meth:`close` (always, in a ``finally``). One pool
+    start-up cost covers all five stages.
 
     *policy* governs failure recovery in both phases (see
     :class:`RecoveryPolicy`); *fault_plan* injects deterministic faults
@@ -1161,14 +1167,17 @@ class SpartaProcessPool:
         self._method = resolve_start_method(start_method)
         self._ctx = ctx = mp.get_context(self._method)
         try:
-            self._yspec = yspec = export_y(
-                y_indices,
-                y_values,
-                contract_modes,
-                free_modes,
-                contract_dims,
-                free_dims,
-                self._blocks,
+            self._yspec = yspec = (
+                export_y(
+                    y_indices,
+                    y_values,
+                    contract_modes,
+                    free_modes,
+                    contract_dims,
+                    free_dims,
+                    self._blocks,
+                )
+                if self._span_units else None
             )
             # Both counters must stay referenced for the pool's lifetime:
             # spawn/forkserver children unpickle their args *after*
@@ -1392,127 +1401,3 @@ class SpartaProcessPool:
         self._conns = {}
         _release_blocks(self._blocks, unlink=True)
         self._blocks = []
-
-
-def contract_chunks_in_processes(
-    px: PreparedX,
-    hty: HashTensor,
-    chunks: Sequence[Tuple[int, int]],
-    *,
-    workers: int,
-    start_method: Optional[str] = None,
-    timeout: Optional[float] = None,
-    policy: Optional[RecoveryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    recovery_log: Optional[RecoveryLog] = None,
-    spill_dir: Optional[str] = None,
-) -> List[WorkerChunk]:
-    """Run :func:`fused_compute` over *chunks* on *workers* processes.
-
-    Returns one :class:`WorkerChunk` per input chunk, **in chunk
-    order** — the deterministic gather that keeps process-parallel
-    output bit-identical to the serial fused engine. Worker failures
-    go through the :class:`RecoveryPolicy` machinery (reassignment,
-    bounded respawn, serial degradation); worker exceptions raise
-    :class:`~repro.errors.WorkerCrashError` and an irrecoverable pool
-    raises :class:`~repro.errors.PoolDegradedError` (both subclasses of
-    :class:`~repro.errors.ParallelError`). The pool is torn down (never
-    left hanging) and all shared blocks are closed and unlinked before
-    returning or raising.
-    """
-    if not chunks:
-        return []
-    policy = policy or RecoveryPolicy()
-    if timeout is not None:
-        policy = _dc_replace(policy, timeout=timeout)
-    log = recovery_log if recovery_log is not None else RecoveryLog()
-    trace = getattr(log, "tracer", None) is not None
-    method = resolve_start_method(start_method)
-    ctx = mp.get_context(method)
-    blocks: List[shared_memory.SharedMemory] = []
-    procs: Dict[int, mp.process.BaseProcess] = {}
-    all_conns: List[mp_connection.Connection] = []
-    clock = time.perf_counter
-    try:
-        spec = export_operands(px, hty, blocks)
-        counter = ctx.Value("q", 0)
-        units = tag_units(chunks)
-        conns: Dict[int, mp_connection.Connection] = {}
-        for wid in range(workers):
-            p, conn = _start_piped_worker(
-                ctx,
-                method,
-                _chunk_worker_main,
-                (wid, spec, units, counter),
-                fault_plan,
-                trace,
-                extra=(spill_dir,),
-            )
-            procs[wid] = p
-            conns[wid] = conn
-            all_conns.append(conn)
-
-        results: Dict[int, WorkerChunk] = {}
-        handle = _make_chunk_handler(results, log)
-
-        def spawn(wid, subset, sub_counter):
-            p, conn = _start_piped_worker(
-                ctx,
-                method,
-                _chunk_worker_main,
-                (wid, spec, subset, sub_counter),
-                fault_plan,
-                trace,
-                extra=(spill_dir,),
-            )
-            all_conns.append(conn)
-            return p, conn
-
-        def serial(unit, lo, hi):
-            t0 = clock()
-            probes0 = hty.table.probes
-            wprofile = RunProfile("sparta_parallel-serial-fallback")
-            fr = fused_compute(
-                px,
-                hty,
-                y_structure="hash",
-                accumulator="hash",
-                profile=wprofile,
-                lo=lo,
-                hi=hi,
-                clock=clock,
-            )
-            results[unit] = WorkerChunk(
-                worker=-1,
-                chunk=unit,
-                fused=fr,
-                counters=dict(wprofile.counters),
-                hash_probes=hty.table.probes - probes0,
-                seconds=clock() - t0,
-            )
-
-        _recover_units(
-            units=units,
-            completed=set(results),
-            handle=handle,
-            payload_tag="chunk",
-            round0_procs=dict(procs),
-            round0_conns=conns,
-            round0_done_tag="done",
-            spawn_worker=spawn,
-            serial_unit=serial,
-            policy=policy,
-            ctx=ctx,
-            log=log,
-        )
-        for p in procs.values():
-            p.join(timeout=10.0)
-        return [results[i] for i in range(len(units))]
-    finally:
-        for p in procs.values():
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=5.0)
-        for conn in all_conns:
-            _close_conn(conn)
-        _release_blocks(blocks, unlink=True)

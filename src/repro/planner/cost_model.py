@@ -156,8 +156,6 @@ class CostModel:
         *,
         engine: str = "serial",
         workers: int = 1,
-        parallel_stage1: bool = True,
-        merge_output: bool = True,
         accumulator: str = "hash",
         sort_output: bool = True,
     ) -> CostEstimate:
@@ -178,26 +176,20 @@ class CostModel:
             eff = c[f"{engine}_efficiency"]
             speedup = 1.0 + (workers - 1) * eff
             stages = dict(serial)
-            # Stages 2-3 (and stage 1's HtY build under parallel_stage1)
-            # run on the workers; X sort, writeback and the stage-5
-            # merge/sort stay in the parent.
+            # Stages 2-3 and stage 1's HtY build run on the workers; X
+            # sort, writeback and the stage-5 merge stay in the parent.
             stages[Stage.INDEX_SEARCH.value] /= speedup
             stages[Stage.ACCUMULATION.value] /= speedup
-            if parallel_stage1:
-                sort_x = c["sort_unit"] * stats.sort_x_units
-                hty = c["hty_build"] * stats.nnz_y
-                stages[Stage.INPUT_PROCESSING.value] = (
-                    sort_x + hty / speedup
-                )
+            sort_x = c["sort_unit"] * stats.sort_x_units
+            hty = c["hty_build"] * stats.nnz_y
+            stages[Stage.INPUT_PROCESSING.value] = sort_x + hty / speedup
             overhead = (
                 c[f"{engine}_pool"] + c[f"{engine}_worker"] * workers
             )
         if engine != "serial":
-            # one presorted run per worker range, or (merge disabled)
-            # the full lexsort of Z
-            stages[Stage.OUTPUT_SORTING.value] = (
-                self.merge_seconds(stats, workers) if merge_output
-                else c["sort_unit"] * stats.sort_z_units
+            # one presorted run per worker range
+            stages[Stage.OUTPUT_SORTING.value] = self.merge_seconds(
+                stats, workers
             )
         if not sort_output:
             stages[Stage.OUTPUT_SORTING.value] = 0.0

@@ -99,12 +99,6 @@ class ContractionStats:
         n = self.nnz_x
         return n * math.log2(n) if n > 1 else 0.0
 
-    @property
-    def sort_z_units(self) -> float:
-        """n·log2(n) units of the stage-5 output sort."""
-        n = self.est_created
-        return n * math.log2(n) if n > 1 else 0.0
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Plain-JSON representation (lossless; see :meth:`from_dict`)."""

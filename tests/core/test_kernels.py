@@ -74,16 +74,6 @@ class TestFusedEqualsReference:
         dense = contract(x, y, cx, cy, method="dense")
         assert fused.tensor.allclose(dense.tensor)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_fused_bit_identical_to_subtensor_loop(self, engine):
-        rng = np.random.default_rng(77)
-        x, y, cx, cy = _random_case(rng)
-        fused = contract(x, y, cx, cy, method=engine)
-        loop = contract(
-            x, y, cx, cy, method=engine, granularity="subtensor_loop"
-        )
-        _assert_exact(fused, loop, engine)
-
     def test_fused_chunked_bit_identical(self):
         """Tiny chunk budget forces many sub-tensor-aligned chunks."""
         x = random_tensor_fibered((10, 12, 12), 400, 1, 50, seed=5)
@@ -146,7 +136,13 @@ class TestFusedEdgeCases:
 
 
 class TestFusedAccounting:
-    """The fused path must charge the loop path's counters and traffic."""
+    """The fused path must charge the element loop's counters and traffic.
+
+    ``accum_probes`` is the one counter not defined the same way: the
+    element loop probes the accumulator once per X non-zero, the fused
+    kernel once per batched segment (and not at all in the dense
+    workspace), so it is left out.
+    """
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -163,11 +159,11 @@ class TestFusedAccounting:
         fused = contract(x, y, (2, 3), (0, 1), method=engine, **kwargs)
         loop = contract(
             x, y, (2, 3), (0, 1), method=engine,
-            granularity="subtensor_loop", **kwargs,
+            granularity="element", **kwargs,
         )
         for counter in (
             "nnz_x", "nnz_y", "nnz_z", "products", "num_subtensors",
-            "search_probes", "accum_probes",
+            "search_probes",
         ):
             assert fused.profile.counters.get(counter) == (
                 loop.profile.counters.get(counter)
@@ -180,12 +176,17 @@ class TestFusedAccounting:
         )
         loop = contract(
             x, y, (2, 3), (0, 1), method="sparta",
-            swap_larger_to_y=False, granularity="subtensor_loop",
+            swap_larger_to_y=False, granularity="element",
         )
-        key = lambda rec: (rec.obj, rec.stage, rec.kind, rec.pattern)
-        assert {key(r) for r in fused.profile.traffic} == {
-            key(r) for r in loop.profile.traffic
-        }
+
+        def cells(profile):
+            out = {}
+            for r in profile.traffic:
+                key = (r.obj, r.stage, r.kind, r.pattern)
+                out[key] = out.get(key, 0) + r.nbytes
+            return out
+
+        assert cells(fused.profile) == cells(loop.profile)
 
     def test_hash_probes_are_per_run(self, pair):
         """A cached HtY must not leak probe counts across runs."""

@@ -113,8 +113,7 @@ class TestParallelBackends:
         x, y = pair
         tracer = Tracer()
         parallel_sparta(
-            x, y, *MODES, threads=2, backend="thread",
-            merge_output=True, tracer=tracer,
+            x, y, *MODES, threads=2, backend="thread", tracer=tracer,
         )
         assert any(
             r.name == "merge_output" and r.cat == "merge"

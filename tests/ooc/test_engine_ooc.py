@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import contract
-from repro.errors import SpillError
+from repro.errors import ContractionError, SpillError
 from repro.ooc import MemoryBudget, SpillManager, ooc_contract
 from repro.parallel import parallel_sparta
 from repro.tensor import SparseTensor
@@ -26,6 +26,33 @@ def pair():
 
 def _no_orphans(root):
     return not glob.glob(os.path.join(root, "sptc-ooc-*"))
+
+
+BUDGET_WITH_CACHE_CALLS = {
+    "sparta": {"method": "sparta"},
+    "parallel_thread": {"method": "parallel", "threads": 2},
+    "parallel_process": {
+        "method": "parallel", "threads": 2, "backend": "process",
+    },
+    "plan_auto": {"plan": "auto", "max_workers": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "options", BUDGET_WITH_CACHE_CALLS.values(),
+    ids=list(BUDGET_WITH_CACHE_CALLS),
+)
+def test_memory_budget_rejects_hty_cache_on_every_engine(
+    pair, options, shm_leak_check
+):
+    # Cached HtY builds bypass the budget's accounting; one rule in the
+    # pipeline's budget front door refuses the pair on every engine.
+    x, y, cx, cy = pair
+    with pytest.raises(ContractionError, match="HtY cache"):
+        contract(
+            x, y, cx, cy,
+            memory_budget="64K", use_hty_cache=True, **options,
+        )
 
 
 class TestOocEngine:

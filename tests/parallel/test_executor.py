@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import contract
-from repro.errors import ShapeError
+from repro.errors import ContractionError, ShapeError
 from repro.parallel import parallel_sparta
 from repro.tensor import random_tensor, random_tensor_fibered
 
@@ -52,6 +52,34 @@ class TestCorrectness:
         x, y = pair
         with pytest.raises(ShapeError):
             parallel_sparta(x, y, (2, 3), (0, 1), threads=0)
+
+
+class TestRemovedOptions:
+    """The baseline schedule switches are gone, not silently ignored."""
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"parallel_stage1": False},
+            {"merge_output": False},
+            {"chunking": "count"},
+            {"chunks_per_worker": 1},
+        ],
+        ids=lambda opt: next(iter(opt)),
+    )
+    def test_schedule_switch_raises_type_error(self, option):
+        x = random_tensor((6, 5, 4), 30, seed=75)
+        y = random_tensor((4, 7), 20, seed=76)
+        with pytest.raises(TypeError):
+            parallel_sparta(x, y, (2,), (0,), threads=2, **option)
+        with pytest.raises(TypeError):
+            contract(x, y, (2,), (0,), method="parallel", **option)
+
+    def test_subtensor_loop_granularity_rejected(self):
+        x = random_tensor((6, 5, 4), 30, seed=75)
+        y = random_tensor((4, 7), 20, seed=76)
+        with pytest.raises(ContractionError, match="granularity"):
+            contract(x, y, (2,), (0,), granularity="subtensor_loop")
 
 
 class TestAccounting:

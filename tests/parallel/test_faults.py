@@ -126,19 +126,29 @@ class TestKillRecovery:
         assert wait_no_children()
 
     @pytest.mark.parametrize("stage", FAULT_STAGES)
-    def test_process_backend_survives_kill_without_pool(
-        self, pair, serial, stage, shm_leak_check
+    def test_process_backend_survives_kill_on_hty_cache_hit(
+        self, pair, stage, shm_leak_check
     ):
-        # parallel_stage1=False takes the single-phase
-        # contract_chunks_in_processes path; stage-1 faults cannot fire
-        # there (stage 1 runs in the parent) but must not break it.
+        # A cache hit gives the pool no stage-1 spans, so its workers
+        # go straight to the chunk phase: stage-1 faults cannot fire
+        # (HtY comes from the parent) but must not break it, and
+        # chunk-phase recovery runs with no partials drained.
+        from repro.core.htycache import HtYCache
+
         x, y = pair
+        cache = HtYCache()
+        cache.get_or_build(y, MODES[1])
+        serial_hit = contract(
+            x, y, *MODES, method="sparta", swap_larger_to_y=False,
+            hty_cache=cache,
+        )
         par = parallel_sparta(
             x, y, *MODES,
-            threads=2, backend="process", parallel_stage1=False,
+            threads=2, backend="process", hty_cache=cache,
             fault_plan=kill_at(stage),
         )
-        assert_matches_serial(par, serial, f"kill@{stage}/no-pool")
+        assert par.result.profile.counters.get("hty_cache_hits") == 1
+        assert_matches_serial(par, serial_hit, f"kill@{stage}/cache-hit")
         if stage != "input_processing":
             assert (
                 par.result.profile.counters.get("ft_worker_failures", 0)

@@ -70,6 +70,7 @@ class TestCorrectness:
         assert_bit_identical(par.result.tensor, serial.tensor)
 
     def test_empty_input_no_pool(self):
+        # The pool still starts, with no stage-1 spans and no chunks.
         from repro.tensor import SparseTensor
 
         x = SparseTensor.empty((3, 4))

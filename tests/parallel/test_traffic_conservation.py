@@ -79,25 +79,33 @@ class TestTrafficConservation:
             ), counter
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("parallel_stage1", [False, True])
-    @pytest.mark.parametrize("merge_output", [False, True])
+    @pytest.mark.parametrize("hty_cache", ["miss", "hit"])
     def test_stage15_flags_keep_traffic_and_probes(
-        self, pair, serial_cells, backend, parallel_stage1, merge_output
+        self, pair, backend, hty_cache
     ):
-        # The parallel stage-1 build and merge-based stage-5 sort must
-        # charge byte-exactly the serial Table-2 cells and the serial
-        # hash_probes, in every flag combination on both backends.
+        # Stage 1 built by the workers (cache miss) or skipped (cache
+        # hit, the pool gets no spans) and the stage-5 merge must
+        # charge byte-exactly the Table-2 cells and the hash_probes of
+        # a serial run in the same cache state, on both backends.
+        from repro.core.htycache import HtYCache
+
         x, y = pair
+        caches = [HtYCache(), HtYCache()]
+        if hty_cache == "hit":
+            for cache in caches:
+                cache.get_or_build(y, (0, 1))
         serial = contract(
-            x, y, (2, 3), (0, 1), method="sparta", swap_larger_to_y=False
+            x, y, (2, 3), (0, 1), method="sparta", swap_larger_to_y=False,
+            hty_cache=caches[0],
         )
         par = parallel_sparta(
             x, y, (2, 3), (0, 1),
-            threads=3, backend=backend,
-            parallel_stage1=parallel_stage1, merge_output=merge_output,
+            threads=3, backend=backend, hty_cache=caches[1],
         )
+        outcome = {"miss": "hty_cache_misses", "hit": "hty_cache_hits"}
+        assert par.result.profile.counters.get(outcome[hty_cache]) == 1
         cells = traffic_by_cell(par.result.profile)
-        assert cells == serial_cells
+        assert cells == traffic_by_cell(serial.profile)
         for counter in ("hash_probes", "search_probes", "products"):
             assert (
                 par.result.profile.counters.get(counter)

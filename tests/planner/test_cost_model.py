@@ -64,8 +64,6 @@ schedules = st.sampled_from(
         {"engine": "serial", "workers": 1},
         {"engine": "thread", "workers": 4},
         {"engine": "process", "workers": 2},
-        {"engine": "thread", "workers": 8, "parallel_stage1": False},
-        {"engine": "thread", "workers": 2, "merge_output": False},
     ]
 )
 accumulators = st.sampled_from(["hash", "dense"])

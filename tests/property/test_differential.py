@@ -2,7 +2,7 @@
 
 Every engine in the repository computes the same contraction Z = X x Y,
 so for any randomized case they must agree. For coalesced inputs the
-hash-family engines (element / fused / subtensor_loop, SPA, COO+HtA,
+hash-family engines (element / fused, SPA, COO+HtA,
 vectorized, and both parallel backends) reduce each output key in the
 same X-row order and are therefore *bit-identical*: same sorted index
 array, same value bytes. The streaming engine and the dense tensordot
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import contract, contract_streaming, split_tensor
+from repro.core.htycache import HtYCache
 from repro.core.sparta import sparta
 from repro.faults import FaultPlan
 from repro.parallel import parallel_sparta
@@ -30,7 +31,6 @@ SEEDS = tuple(range(12))
 #: engines held to bit-identity against the element-wise reference
 EXACT_ENGINES = (
     "fused",
-    "subtensor_loop",
     "spa",
     "coo_hta",
     "vectorized",
@@ -71,8 +71,6 @@ def run_engine(name: str, x, y, cx, cy) -> SparseTensor:
         res = contract(
             x, y, cx, cy, method="sparta", swap_larger_to_y=False
         )
-    elif name == "subtensor_loop":
-        res = sparta(x, y, cx, cy, granularity="subtensor_loop")
     elif name in ("spa", "coo_hta", "vectorized"):
         res = contract(x, y, cx, cy, method=name)
     elif name == "parallel_thread":
@@ -145,24 +143,50 @@ class TestDifferential:
         "seed", SEEDS[:8], ids=[f"seed{s}" for s in SEEDS[:8]]
     )
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_stage15_flags_bit_identical(self, seed, backend):
-        # The parallel stage-1 HtY build and the merge-based stage-5
-        # sort must not perturb a single byte, in any flag combination.
+    def test_parallel_stage15_flags_bit_identical(
+        self, seed, backend, shm_leak_check
+    ):
+        # Every stage-1 source of the parallel schedule — workers
+        # building HtY (no cache, cache miss) or not at all (cache
+        # hit) — must reproduce the element reference's bytes and the
+        # Table-2 cells of a serial run in the same cache state.
         x, y, cx, cy = make_case(seed)
         ref = run_engine("element", x, y, cx, cy)
-        for parallel_stage1 in (False, True):
-            for merge_output in (False, True):
-                par = parallel_sparta(
-                    x, y, cx, cy,
-                    threads=3, backend=backend,
-                    parallel_stage1=parallel_stage1,
-                    merge_output=merge_output,
-                )
-                assert_bit_identical(
-                    par.result.tensor.sort(), ref,
-                    f"seed={seed} backend={backend} "
-                    f"stage1={parallel_stage1} merge={merge_output}",
-                )
+        for mode in ("none", "miss", "hit"):
+            serial_cache, par_cache = _hty_caches(mode, y, cy)
+            serial = sparta(x, y, cx, cy, hty_cache=serial_cache)
+            par = parallel_sparta(
+                x, y, cx, cy,
+                threads=3, backend=backend, hty_cache=par_cache,
+            )
+            counters = par.result.profile.counters
+            if mode == "miss":
+                assert counters.get("hty_cache_misses") == 1
+            if mode == "hit":
+                assert counters.get("hty_cache_hits") == 1
+            label = f"seed={seed} backend={backend} hty_cache={mode}"
+            assert_bit_identical(par.result.tensor.sort(), ref, label)
+            assert traffic_cells(par.result.profile) == traffic_cells(
+                serial.profile
+            ), label
+
+    @pytest.mark.parametrize("empty", ["x", "y"])
+    def test_process_backend_empty_operand(self, empty, shm_leak_check):
+        # The pool starts with no stage-1 spans (empty Y) or no chunks
+        # (empty X) and must still match the reference and serial.
+        x, y, cx, cy = make_case(3)
+        if empty == "x":
+            x = SparseTensor.empty(x.shape)
+        else:
+            y = SparseTensor.empty(y.shape)
+        ref = run_engine("element", x, y, cx, cy)
+        serial = sparta(x, y, cx, cy)
+        par = parallel_sparta(x, y, cx, cy, threads=2, backend="process")
+        assert par.result.tensor.nnz == 0
+        assert_bit_identical(par.result.tensor, ref, f"empty {empty}")
+        assert traffic_cells(par.result.profile) == traffic_cells(
+            serial.profile
+        ), f"empty {empty}"
 
     def test_parallel_stage1_worker_count_sweep(self):
         # Partial-build spans shift with the worker count; the merged
@@ -172,11 +196,21 @@ class TestDifferential:
         for workers in (1, 2, 3, 4, 6):
             par = parallel_sparta(
                 x, y, cx, cy, threads=workers, backend="thread",
-                parallel_stage1=True,
             )
             assert_bit_identical(
                 par.result.tensor.sort(), ref, f"workers={workers}"
             )
+
+
+def _hty_caches(mode, y, cy):
+    """(serial, parallel) HtY caches that both miss, both hit or are None."""
+    if mode == "none":
+        return None, None
+    if mode == "miss":
+        return HtYCache(), HtYCache()
+    cache = HtYCache()
+    cache.get_or_build(y, cy)
+    return cache, cache
 
 
 def traffic_cells(profile):
